@@ -34,6 +34,7 @@ from .tree import (
     best_threshold,
     concat_feature,
     decision_path,
+    decision_paths,
     find_oblique_split,
     fit_fc_odt,
     model_from_text,
@@ -49,10 +50,11 @@ __all__ = [
     "LeafNode", "ObliqueNode", "ObliqueTreeModel", "RidgeSolution",
     "SplitAssignment", "SplitCriteria", "SplitResult", "StumpBasis",
     "best_threshold", "compute_stumps", "concat_feature", "decision_path",
-    "find_oblique_split", "fit_cart", "fit_fc_odt", "fit_ridge_odt",
-    "gen_sim1", "gen_sim2", "grid_search_lambda", "kfold_indices", "mse",
-    "model_from_text", "model_to_text", "parse_csv", "parse_libsvm",
-    "predict", "predict_batch", "predict_linear", "r2", "rank_sum_test",
-    "run_benchmark", "run_depth_sweep", "run_sample_sweep", "solve_ridge",
-    "spd_solve", "train_test_split", "verify_orthogonal_expansion",
+    "decision_paths", "find_oblique_split", "fit_cart", "fit_fc_odt",
+    "fit_ridge_odt", "gen_sim1", "gen_sim2", "grid_search_lambda",
+    "kfold_indices", "mse", "model_from_text", "model_to_text", "parse_csv",
+    "parse_libsvm", "predict", "predict_batch", "predict_linear", "r2",
+    "rank_sum_test", "run_benchmark", "run_depth_sweep", "run_sample_sweep",
+    "solve_ridge", "spd_solve", "train_test_split",
+    "verify_orthogonal_expansion",
 ]

@@ -1,23 +1,14 @@
-"""Comparison learners sharing the oblique tree's split machinery."""
+"""Comparison learners: the oblique tree's growth loop with other split
+searches (``tree._split_nodes``). ``ridge_odt`` keeps the ridge
+projections but neither concatenates nor fits residuals; ``cart`` runs
+the axis-parallel search."""
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 
-import numpy as np
-
 from .datasets import Dataset
-from .tree import (
-    LeafNode,
-    ObliqueNode,
-    ObliqueTreeModel,
-    SplitCriteria,
-    _canonical_order,
-    best_threshold,
-    fit_fc_odt,
-    fit_fc_odt_many,
-)
+from .tree import ObliqueTreeModel, SplitCriteria, _grow, _grow_one, fit_fc_odt, fit_fc_odt_many
 
 
 class BaselineKind(Enum):
@@ -40,52 +31,19 @@ def fit_ridge_odt_many(jobs, criteria: SplitCriteria | None = None) -> list:
 
 
 def fit_cart(data: Dataset, criteria: SplitCriteria | None = None) -> ObliqueTreeModel:
-    """Axis-parallel regression tree: each node exhaustively scans every
-    feature column for the best threshold. Ties break toward the lowest
-    feature index, then the smallest threshold. Stored projections are
-    standard basis vectors so the model predicts like any oblique tree."""
-    criteria = criteria or SplitCriteria()
-    if data.n < 1:
-        raise ValueError("dataset is empty")
-    if data.dim < 1:
-        raise ValueError("dataset has no features")
+    """Axis-parallel regression tree: each node scans every feature column
+    for the best threshold by the decrease around the child means. Ties
+    break toward the lowest feature index, then the smallest threshold.
+    Stored projections are standard basis vectors with zero bias, so the
+    model predicts like any oblique tree; it records lambda 0."""
+    return _grow_one(data, 0.0, criteria, False, "axis")
 
-    order = _canonical_order(data.features, data.targets)
-    X0 = data.features[order]
-    y0 = data.targets[order]
-    n_total = data.n
-    d = data.dim
 
-    model = ObliqueTreeModel(
-        input_dim=d, lam=0.0, criteria=criteria,
-        concatenate=False, residual_path=False, nodes=[None])
-    queue = deque([(0, 0, X0, y0)])
-    while queue:
-        slot, depth, X_t, y_t = queue.popleft()
-        n_node = y_t.shape[0]
-        best = None
-        if depth < criteria.max_depth and n_node >= criteria.min_samples_split:
-            for j in range(d):
-                found = best_threshold(X_t[:, j], y_t, n_total, criteria)
-                if found is not None and (best is None or found[1] > best[2]):
-                    best = (j, found[0], found[1])
-        if best is None:
-            model.nodes[slot] = LeafNode(
-                depth=depth, residual_mean=float(y_t.mean()), sample_count=n_node)
-            continue
-        j, threshold, gain = best
-        projection = np.zeros(d + 1)
-        projection[j] = 1.0
-        left_slot = len(model.nodes)
-        right_slot = left_slot + 1
-        model.nodes.extend([None, None])
-        model.nodes[slot] = ObliqueNode(
-            depth=depth, projection=projection, threshold=threshold,
-            gain=gain, left=left_slot, right=right_slot)
-        left = X_t[:, j] < threshold
-        queue.append((left_slot, depth + 1, X_t[left], y_t[left]))
-        queue.append((right_slot, depth + 1, X_t[~left], y_t[~left]))
-    return model
+def fit_cart_many(jobs, criteria: SplitCriteria | None = None) -> list:
+    """``fit_cart`` for each (data, lam) in the iterable ``jobs`` (lam is
+    not used), grown together; each entry is the model or the exception
+    its fit raised."""
+    return _grow(((data, 0.0) for data, _ in jobs), criteria, False, "axis")
 
 
 def fit_baseline(kind: BaselineKind, data: Dataset, lam: float,

@@ -42,7 +42,7 @@ from .stumps import compute_stumps, stump_gram_matrix, verify_orthogonal_expansi
 from .tree import (
     ObliqueNode,
     SplitCriteria,
-    decision_path,
+    decision_paths,
     model_from_text,
     model_to_text,
     predict_batch,
@@ -166,11 +166,11 @@ def cmd_predict(args) -> int:
     lines = []
     if args.explain:
         lines.append("prediction,path_nodes,path_scores")
-        for i in range(X.shape[0]):
-            path = decision_path(model, X[i])
+        paths = decision_paths(model, X) if X.shape[0] else []
+        for pred, path in zip(preds, paths):
             nodes = ";".join(str(p[0]) for p in path)
             scores = ";".join(format(p[1], ".17g") for p in path)
-            lines.append(f"{format(preds[i], '.17g')},{nodes},{scores}")
+            lines.append(f"{format(pred, '.17g')},{nodes},{scores}")
     else:
         lines.append("prediction")
         lines.extend(format(v, ".17g") for v in preds)

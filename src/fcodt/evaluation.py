@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .baselines import fit_cart, fit_ridge_odt, fit_ridge_odt_many
+from .baselines import fit_cart, fit_cart_many, fit_ridge_odt, fit_ridge_odt_many
 from .datasets import (
     Dataset,
     gen_sim1,
@@ -50,20 +50,16 @@ def fit_method(method: str, data: Dataset, lam: float,
 
 
 def fit_method_many(method: str, jobs, criteria: SplitCriteria) -> list:
-    """``fit_method`` for each (data, lam) in the iterable ``jobs``; each
-    entry is the model or the exception its fit raised. The oblique trees
-    grow together (see ``fit_fc_odt_many``)."""
+    """``fit_method`` for each (data, lam) in the iterable ``jobs``, the
+    trees grown together (see ``fit_fc_odt_many``); each entry is the
+    model or the exception its fit raised."""
     if method == "fc_odt":
         return fit_fc_odt_many(jobs, criteria)
     if method == "ridge_odt":
         return fit_ridge_odt_many(jobs, criteria)
-    out = []
-    for data, lam in jobs:
-        try:
-            out.append(fit_method(method, data, lam, criteria))
-        except Exception as exc:  # recorded, not raised
-            out.append(exc)
-    return out
+    if method == "cart":
+        return fit_cart_many(jobs, criteria)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # training rows of the cross-validation fits grown together: many small

@@ -59,6 +59,9 @@ def _node_fits(model: ObliqueTreeModel, data: Dataset) -> dict[int, np.ndarray]:
     """Per node: ridge prediction of the original targets from the node's
     concatenated features, as a length-n vector that is zero off-node."""
     replay = replay_training_data(model, data)
+    unreached = [slot for slot in range(len(model.nodes)) if slot not in replay]
+    if unreached:
+        raise ValueError(f"no row of the data reaches node {unreached[0]}")
     lam = max(model.lam, _MIN_DIAG_LAMBDA)
     y = data.targets
     fits: dict[int, np.ndarray] = {}

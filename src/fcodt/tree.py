@@ -24,9 +24,18 @@ Two variant flags control the learner:
   (``best_threshold``), the criterion of constant children.
 
 Both flags on gives the feature-concatenating learner; both off gives a
-plain ridge-projection tree with mean leaves. Trees grow one level at a
-time, and ``fit_fc_odt_many`` grows several together so that each level's
-ridge fits and threshold searches run as batches.
+plain ridge-projection tree with mean leaves.
+
+Every learner grows its trees in one loop (``_grow``): one level at a
+time, several trees together, so that each level's ridge fits and
+threshold searches run as batches. Only the split search differs
+(``_split_nodes``): "mean" (ridge projection, ``best_threshold``),
+"residual" (ridge projection, ``best_residual_threshold``) or "axis"
+(the best single column by ``best_threshold``, the ``cart`` baseline).
+Every prediction goes through one router (``_walk``), which passes each
+node's scores down the path: ``predict_batch``, ``predict``,
+``decision_path(s)`` and ``replay_training_data`` only read what it
+yields. Models load only when their nodes form one tree.
 """
 
 from __future__ import annotations
@@ -576,31 +585,45 @@ def best_residual_threshold(projections: np.ndarray, features: np.ndarray,
 
 
 def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
-                 criteria: SplitCriteria, residual_path: bool) -> list:
+                 criteria: SplitCriteria, finder: str) -> list:
     """SplitResult or None for each (X_t, y_t) node of equal width, with
-    its own penalty and training-set size; the ridge fits and the
-    residual-path threshold searches run as batches."""
+    its own penalty and training-set size. ``finder`` names the search:
+    "mean" and "residual" ridge-fit a projection (as one batch) and pick
+    its threshold by ``best_threshold`` or, as one batch,
+    ``best_residual_threshold``; "axis" runs ``best_threshold`` on every
+    column and keeps the first best one as a unit projection with zero
+    bias."""
     if not nodes:
         return []
-    fits = [(sol, X_t @ sol.weights + sol.intercept)
-            for sol, (X_t, _) in zip(solve_ridge_many(nodes, lams), nodes)]
-    if residual_path:
-        found = _residual_cuts([s for _, s in fits], [X_t for X_t, _ in nodes],
-                               [y_t - s for (_, y_t), (_, s) in zip(nodes, fits)],
-                               lams, n_totals, criteria)
+    if finder == "axis":
+        fits, found = [], []
+        for (X_t, y_t), n_total in zip(nodes, n_totals):
+            hits = [best_threshold(X_t[:, j], y_t, n_total, criteria)
+                    for j in range(X_t.shape[1])]
+            # the first maximum: ties break toward the lowest column
+            j = int(np.argmax([-np.inf if hit is None else hit[1] for hit in hits]))
+            fits.append((np.eye(X_t.shape[1])[j], 0.0, X_t[:, j]))
+            found.append(hits[j])
     else:
-        found = [best_threshold(scores, y_t, n_total, criteria)
-                 for (_, y_t), (_, scores), n_total in zip(nodes, fits, n_totals)]
+        fits = [(sol.weights, sol.intercept, X_t @ sol.weights + sol.intercept)
+                for sol, (X_t, _) in zip(solve_ridge_many(nodes, lams), nodes)]
+        if finder == "residual":
+            found = _residual_cuts([s for _, _, s in fits], [X_t for X_t, _ in nodes],
+                                   [y_t - s for (_, y_t), (_, _, s) in zip(nodes, fits)],
+                                   lams, n_totals, criteria)
+        else:
+            found = [best_threshold(s, y_t, n_total, criteria)
+                     for (_, y_t), (_, _, s), n_total in zip(nodes, fits, n_totals)]
     out = []
-    for (sol, scores), hit in zip(fits, found):
+    for (weights, intercept, scores), hit in zip(fits, found):
         if hit is None:
             out.append(None)
             continue
         threshold, gain = hit
         left = scores < threshold
         out.append(SplitResult(
-            weights=sol.weights,
-            intercept=sol.intercept,
+            weights=weights,
+            intercept=intercept,
             threshold=threshold,
             gain=gain,
             scores=scores,
@@ -622,7 +645,7 @@ def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,
         raise ValueError(
             f"node has {X_t.shape[0]} rows, below min_samples_split={criteria.min_samples_split}")
     return _split_nodes([(X_t, y_t)], np.array([float(lam)]), np.array([n_total]),
-                        criteria, residual_path=False)[0]
+                        criteria, "mean")[0]
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -662,25 +685,39 @@ def fit_fc_odt(data: Dataset, lam: float, criteria: SplitCriteria | None = None,
     Ineligible or unsplittable nodes become leaves holding the mean of
     their incoming targets.
     """
-    _check_fit(data, lam)
-    model = fit_fc_odt_many([(data, lam)], criteria, concatenate=concatenate,
-                            residual_path=residual_path)[0]
+    return _grow_one(data, lam, criteria, concatenate,
+                     "residual" if residual_path else "mean")
+
+
+def fit_fc_odt_many(jobs, criteria: SplitCriteria | None = None, *,
+                    concatenate: bool = True, residual_path: bool = True) -> list:
+    """``fit_fc_odt`` for each (data, lam) in the iterable ``jobs``; each
+    entry is the model, or the exception its fit raised (see ``_grow``)."""
+    return _grow(jobs, criteria, concatenate, "residual" if residual_path else "mean")
+
+
+def _grow_one(data: Dataset, lam: float, criteria: SplitCriteria | None,
+              concatenate: bool, finder: str) -> ObliqueTreeModel:
+    """The tree ``_grow`` grows for one (data, lam); raises its failure."""
+    model = _grow([(data, lam)], criteria, concatenate, finder)[0]
     if isinstance(model, Exception):
         raise model
     return model
 
 
-def fit_fc_odt_many(jobs, criteria: SplitCriteria | None = None, *,
-                    concatenate: bool = True, residual_path: bool = True) -> list:
-    """``fit_fc_odt`` for each (data, lam) in the iterable ``jobs``.
+def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) -> list:
+    """Grow a tree for each (data, lam) in the iterable ``jobs`` with the
+    split search ``finder`` (see ``_split_nodes``): the one growth loop of
+    every learner.
 
     The trees grow together, one level at a time, so a level's ridge fits
     and threshold searches run in a few batches over all trees. A node's
     arithmetic depends on its own rows only, so every tree is exactly the
-    one ``fit_fc_odt`` grows alone. Each entry is the model, or the
-    exception its fit raised. Only each tree's own reordered copy of its
-    data is kept, so a generator of jobs holds one copy per tree.
+    one grown alone. Each entry is the model, or the exception its fit
+    raised. Only each tree's own reordered copy of its data is kept, so a
+    generator of jobs holds one copy per tree.
     """
+    residual_path = finder == "residual"
     criteria = criteria or SplitCriteria()
     out = []
     lams, sizes = [], []
@@ -709,7 +746,7 @@ def fit_fc_odt_many(jobs, criteria: SplitCriteria | None = None, *,
                 and y_t.shape[0] >= criteria.min_samples_split]
         splits = {}
         for batch in _row_batches(work):
-            for key, found in _split_batch(batch, lams, sizes, criteria, residual_path):
+            for key, found in _split_batch(batch, lams, sizes, criteria, finder):
                 if isinstance(found, Exception):
                     out[key[0]] = found
                     levels[key[0]] = []
@@ -769,7 +806,7 @@ def _row_batches(work: list):
 
 
 def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
-                 residual_path: bool) -> list:
+                 finder: str) -> list:
     """((tree, slot), SplitResult, None or exception) for each node of
     ``batch``; when the batch fails, each tree's nodes are retried alone
     and a tree that still fails gets its exception. Nothing is raised."""
@@ -777,7 +814,7 @@ def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
         return _split_nodes([(X_t, y_t) for _, _, X_t, y_t in items],
                             np.array([lams[i] for i, _, _, _ in items]),
                             np.array([sizes[i] for i, _, _, _ in items]),
-                            criteria, residual_path)
+                            criteria, finder)
     keys = [(i, slot) for i, slot, _, _ in batch]
     try:
         return list(zip(keys, run(batch)))
@@ -794,80 +831,85 @@ def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
     return out
 
 
-def _check_input_dim(model: ObliqueTreeModel, length: int):
-    if length != model.input_dim:
-        raise ValueError(
-            f"input has {length} features but model expects {model.input_dim}")
+def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = None):
+    """Route the rows of ``X`` through ``model``: the one router.
 
-
-def predict(model: ObliqueTreeModel, x: np.ndarray) -> float:
-    """Score a single point by descending the tree.
-
-    With ``residual_path`` on, the prediction is the sum of the node
-    projection scores along the path plus the leaf value; otherwise it is
-    the leaf value alone.
+    Yields (slot, rows, features, incoming, scores) for each node that at
+    least one row reaches, parents before children: the indices of the
+    node's rows in ``X``, their feature representation (with the
+    ancestors' scores appended when ``concatenate``), their incoming
+    targets (``targets`` less the ancestors' scores when
+    ``residual_path``; None without ``targets``) and the node's projection
+    scores (None at a leaf). Rows go left iff score < threshold.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _check_input_dim(model, x.shape[0])
-    rep = x
-    acc = 0.0
-    node = model.nodes[0]
-    while isinstance(node, ObliqueNode):
-        s = float(rep @ node.projection[:-1] + node.projection[-1])
-        if model.residual_path:
-            acc += s
-        if model.concatenate:
-            rep = np.append(rep, s)
-        node = model.nodes[node.left if s < node.threshold else node.right]
-    return acc + node.residual_mean if model.residual_path else node.residual_mean
-
-
-def predict_batch(model: ObliqueTreeModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized prediction: rows are routed through the tree level by
-    level with their concatenated representations."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    _check_input_dim(model, X.shape[1])
-    n = X.shape[0]
-    out = np.zeros(n)
-    if n == 0:
-        return out
-    stack = [(0, np.arange(n), X)]
+    if X.shape[1] != model.input_dim:
+        raise ValueError(
+            f"input has {X.shape[1]} features but model expects {model.input_dim}")
+    if not np.isfinite(X).all():
+        row = np.argmin(np.isfinite(X).all(axis=1))
+        raise ValueError(f"input row {row} has a NaN or infinite value")
+    stack = [(0, np.arange(X.shape[0]), X, targets)] if X.shape[0] else []
     while stack:
-        slot, idx, rep = stack.pop()
+        slot, rows, rep, incoming = stack.pop()
         node = model.nodes[slot]
         if isinstance(node, LeafNode):
-            out[idx] += node.residual_mean
+            yield slot, rows, rep, incoming, None
             continue
-        s = rep @ node.projection[:-1] + node.projection[-1]
-        if model.residual_path:
-            out[idx] += s
-        child_rep = np.hstack([rep, s[:, None]]) if model.concatenate else rep
-        left = s < node.threshold
-        stack.append((node.left, idx[left], child_rep[left]))
-        stack.append((node.right, idx[~left], child_rep[~left]))
+        scores = rep @ node.projection[:-1] + node.projection[-1]
+        yield slot, rows, rep, incoming, scores
+        if model.concatenate:
+            rep = np.hstack([rep, scores[:, None]])
+        if incoming is not None and model.residual_path:
+            incoming = incoming - scores
+        left = scores < node.threshold
+        for child, side in ((node.left, left), (node.right, ~left)):
+            child_rows = rows[side]
+            if child_rows.size:
+                stack.append((child, child_rows, rep[side],
+                              None if incoming is None else incoming[side]))
+
+
+def predict(model: ObliqueTreeModel, x: np.ndarray) -> float:
+    """Score a single point: ``predict_batch`` on one row."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return float(predict_batch(model, x)[0])
+
+
+def predict_batch(model: ObliqueTreeModel, X: np.ndarray) -> np.ndarray:
+    """Predict every row of ``X``. With ``residual_path`` on, a row's
+    prediction is the sum of the projection scores along its path, root
+    first from 0.0, plus its leaf's value; otherwise the leaf value."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(X.shape[:1])
+    for slot, rows, _, _, scores in _walk(model, X):
+        if scores is None:
+            out[rows] += model.nodes[slot].residual_mean
+        elif model.residual_path:
+            out[rows] += scores
     return out
 
 
-def decision_path(model: ObliqueTreeModel, x: np.ndarray):
-    """Internal-node visit sequence for one point: (node index, score,
-    went_left) triples, exactly as predict traverses them."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _check_input_dim(model, x.shape[0])
-    rep = x
-    path = []
-    slot = 0
-    node = model.nodes[0]
-    while isinstance(node, ObliqueNode):
-        s = float(rep @ node.projection[:-1] + node.projection[-1])
-        went_left = s < node.threshold
-        path.append((slot, s, went_left))
-        if model.concatenate:
-            rep = np.append(rep, s)
-        slot = node.left if went_left else node.right
-        node = model.nodes[slot]
-    return path
+def decision_paths(model: ObliqueTreeModel, X: np.ndarray) -> list:
+    """Internal-node visit sequence of each row of ``X``: (node index,
+    score, went_left) triples, root first, with the scores
+    ``predict_batch`` sums."""
+    paths = []
+    for slot, rows, _, _, scores in _walk(model, X):
+        if slot == 0:  # the first visit: every row
+            paths = [[] for _ in rows]
+        if scores is not None:
+            threshold = model.nodes[slot].threshold
+            for i, s in zip(rows.tolist(), scores.tolist()):
+                paths[i].append((slot, s, s < threshold))
+    return paths
+
+
+def decision_path(model: ObliqueTreeModel, x: np.ndarray) -> list:
+    """``decision_paths`` of a single point."""
+    return decision_paths(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 @dataclass
@@ -884,27 +926,10 @@ class ReplayNode:
 
 
 def replay_training_data(model: ObliqueTreeModel, data: Dataset) -> dict[int, ReplayNode]:
-    """Route a dataset through a fitted model, reconstructing each node's
-    feature representation and incoming targets."""
-    X = data.features
-    y = data.targets
-    _check_input_dim(model, X.shape[1])
-    out: dict[int, ReplayNode] = {}
-    stack = [(0, np.arange(data.n), X, y)]
-    while stack:
-        slot, idx, rep, targ = stack.pop()
-        node = model.nodes[slot]
-        if isinstance(node, LeafNode):
-            out[slot] = ReplayNode(idx, rep, targ, None)
-            continue
-        s = rep @ node.projection[:-1] + node.projection[-1]
-        out[slot] = ReplayNode(idx, rep, targ, s)
-        child_rep = np.hstack([rep, s[:, None]]) if model.concatenate else rep
-        child_targ = targ - s if model.residual_path else targ
-        left = s < node.threshold
-        stack.append((node.left, idx[left], child_rep[left], child_targ[left]))
-        stack.append((node.right, idx[~left], child_rep[~left], child_targ[~left]))
-    return out
+    """Route a dataset through a fitted model, reconstructing the feature
+    representation and incoming targets of each node it reaches."""
+    return {slot: ReplayNode(rows, rep, incoming, scores) for slot, rows, rep, incoming, scores
+            in _walk(model, data.features, data.targets)}
 
 
 FORMAT_TAG = "fcodt-model"
@@ -1008,11 +1033,35 @@ def model_from_text(text: str) -> ObliqueTreeModel:
             ))
         else:
             raise ValueError(f"unknown node kind {parts[0]!r}")
-    for i, node in enumerate(model.nodes):
-        if isinstance(node, ObliqueNode):
-            if node.left == node.right:
-                raise ValueError(f"node {i} has identical children")
-            for child in (node.left, node.right):
-                if not 0 < child < len(model.nodes):
-                    raise ValueError(f"node {i} references invalid child {child}")
+    _check_tree(model.nodes)
     return model
+
+
+def _check_tree(nodes: list):
+    """Raise ValueError unless ``nodes`` form one tree rooted at node 0:
+    the root at depth 0 has no parent, every other node has exactly one,
+    one level deeper than it, so every node is reachable from the root."""
+    if not nodes:
+        raise ValueError("model has no nodes")
+    if nodes[0].depth != 0:
+        raise ValueError("node 0 (the root) must have depth 0")
+    parent = {}
+    for i, node in enumerate(nodes):
+        if not isinstance(node, ObliqueNode):
+            continue
+        if node.left == node.right:
+            raise ValueError(f"node {i} has identical children")
+        for child in (node.left, node.right):
+            if not 0 < child < len(nodes):
+                raise ValueError(f"node {i} references invalid child {child}")
+            if child in parent:
+                raise ValueError(
+                    f"node {child} has two parents, nodes {parent[child]} and {i}")
+            parent[child] = i
+            if nodes[child].depth != node.depth + 1:
+                raise ValueError(
+                    f"node {child} has depth {nodes[child].depth} but its parent, "
+                    f"node {i}, has depth {node.depth}")
+    for i in range(1, len(nodes)):
+        if i not in parent:
+            raise ValueError(f"node {i} has no parent, so it is unreachable from node 0")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fcodt.cli import load_run_config, main
+from fcodt.tree import model_from_text
 
 
 def run(*argv):
@@ -119,6 +120,25 @@ class TestTrainPredict:
         assert lines[0] == "prediction,path_nodes,path_scores"
         first = lines[1].split(",")
         assert first[1].startswith("0")  # every path starts at the root
+
+    def test_explain_scores_sum_to_prediction(self, tmp_path, sim_csv):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        model = model_from_text(model_path.read_text())
+        assert model.residual_path and model.n_internal > 1
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(sim_csv),
+                   "--target", "y", "--drop", "f", "--explain",
+                   "--out", str(pred_path)) == 0
+        for line in pred_path.read_text().splitlines()[1:]:
+            prediction, nodes, scores = line.split(",")
+            total = 0.0
+            for node_id, score in zip(nodes.split(";"), scores.split(";")):
+                node = model.nodes[int(node_id)]
+                total += float(score)
+                slot = node.left if float(score) < node.threshold else node.right
+            assert total + model.nodes[slot].residual_mean == float(prediction)
 
 
 class TestInspect:

@@ -146,6 +146,18 @@ class TestGridSearch:
         assert all(np.isfinite(row["mse"]) for row in table if row["lambda"] == 0.1)
 
 
+class TestFitMethodMany:
+    def test_cart_records_failures_and_lambda_zero(self):
+        good = tiny_dataset(n=60, seed=4)
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0))
+        models = evaluation.fit_method_many("cart", [(good, 0.3), (empty, 0.3)],
+                                            SplitCriteria(max_depth=2))
+        assert len(models) == 2
+        assert not isinstance(models[0], Exception)
+        assert models[0].lam == 0.0
+        assert isinstance(models[1], ValueError)
+
+
 def fast_config(**kw):
     defaults = dict(methods=("fc_odt", "ridge_odt"), datasets=("sim1", "sim2"),
                     depths=(2,), sample_sizes=(50, 100), repeats=2,

@@ -51,6 +51,12 @@ class TestStumpBasis:
         with pytest.raises(ValueError):
             compute_stumps(plain, ds)
 
+    def test_data_missing_a_node_rejected(self):
+        model, ds = fitted(seed=3)
+        one_row = Dataset(ds.features[:1], ds.targets[:1])
+        with pytest.raises(ValueError, match="no row of the data reaches node"):
+            compute_stumps(model, one_row)
+
     def test_single_split_matches_lstsq_oracle(self):
         # hand-sized single split: the root stump must equal the combined
         # child least-squares fits, normalized, computed via an

@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from fcodt import tree
+from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.datasets import Dataset
 from fcodt.tree import (
     LeafNode,
@@ -15,6 +19,7 @@ from fcodt.tree import (
     model_to_text,
     predict,
     predict_batch,
+    replay_training_data,
 )
 from oracles import best_threshold_bruteforce
 
@@ -340,3 +345,134 @@ class TestSerialization:
         lines[10] = " ".join(parts + ["1.0"])  # stray extra weight
         with pytest.raises(ValueError):
             model_from_text("\n".join(lines))
+
+
+def cart_model_text(max_depth):
+    """Text of a full cart tree of ``max_depth`` (2^(max_depth+1) - 1
+    nodes, numbered breadth-first) and its node lines."""
+    model = fit_cart(make_dataset(n=120, d=4, seed=17),
+                     loose_criteria(max_depth=max_depth, min_samples_split=20,
+                                    min_samples_leaf=8))
+    assert len(model.nodes) == 2 ** (max_depth + 1) - 1
+    lines = model_to_text(model).splitlines()
+    return lines[:10], lines[10:]
+
+
+def edited(head, nodes, edits):
+    """The document with field ``field`` of node line ``slot`` set to
+    ``value`` for each (slot, field): value in ``edits``."""
+    nodes = [line.split() for line in nodes]
+    for (slot, field), value in edits.items():
+        nodes[slot][field] = str(value)
+    return "\n".join(head + [" ".join(parts) for parts in nodes]) + "\n"
+
+
+class TestLoaderTreeChecks:
+    """Each check is reached by a document the loader used to accept; the
+    tests only load, so none of them can hang."""
+
+    def test_accepts_fitted_tree(self):
+        head, nodes = cart_model_text(2)
+        assert len(model_from_text("\n".join(head + nodes)).nodes) == 7
+
+    def test_rejects_self_loop(self):
+        head, nodes = cart_model_text(2)
+        with pytest.raises(ValueError, match="node 1 "):
+            model_from_text(edited(head, nodes, {(1, 4): 1}))  # node 1's left child is node 1
+
+    def test_rejects_shared_child(self):
+        head, nodes = cart_model_text(2)
+        # node 2 takes node 1's children 3 and 4; leaves 5 and 6 are cut off
+        with pytest.raises(ValueError, match="node 3 "):
+            model_from_text(edited(head, nodes, {(2, 4): 3, (2, 5): 4}))
+
+    def test_rejects_unreachable_node(self):
+        head, nodes = cart_model_text(1)
+        head[-1] = "nodes 4"
+        with pytest.raises(ValueError, match="node 3 "):
+            model_from_text("\n".join(head + nodes + [nodes[1]]) + "\n")
+
+    def test_rejects_depth_mismatch(self):
+        head, nodes = cart_model_text(2)
+        with pytest.raises(ValueError, match="node 3 "):
+            model_from_text(edited(head, nodes, {(3, 1): 3}))  # a depth-2 leaf at depth 3
+
+
+def depth2_cart():
+    ds = make_dataset(n=120, d=4, seed=17)
+    return fit_cart(ds, loose_criteria(max_depth=2, min_samples_split=20,
+                                       min_samples_leaf=8)), ds
+
+
+ROUTERS = {
+    "predict": lambda model, X: predict(model, X[0]),
+    "predict_batch": predict_batch,
+    "decision_path": lambda model, X: decision_path(model, X[0]),
+    "decision_paths": lambda model, X: tree.decision_paths(model, X),
+    "replay_training_data": lambda model, X: replay_training_data(
+        model, SimpleNamespace(features=X, targets=np.zeros(X.shape[0]), n=X.shape[0])),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("router", sorted(ROUTERS))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_every_router(self, router, value):
+        model, ds = depth2_cart()
+        X = ds.features[:1].copy()
+        X[0, :] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ROUTERS[router](model, X)
+
+    def test_names_the_row(self):
+        model, ds = depth2_cart()
+        X = ds.features[:5].copy()
+        X[3, 2] = np.nan
+        with pytest.raises(ValueError, match="row 3 "):
+            predict_batch(model, X)
+
+
+FITS = {
+    "fc_odt": lambda ds, crit: fit_fc_odt(ds, 0.05, crit),
+    "ridge_odt": lambda ds, crit: fit_ridge_odt(ds, 0.05, crit),
+    "cart": lambda ds, crit: fit_cart(ds, crit),
+}
+
+
+class TestRouterConsistency:
+    @pytest.mark.parametrize("method", sorted(FITS))
+    def test_paths_predictions_and_replay_agree(self, method):
+        train = make_dataset(n=300, d=3, seed=18, sigma=0.5)
+        model = FITS[method](train, SplitCriteria(max_depth=4))
+        assert model.n_internal > 3
+        X = make_dataset(n=200, d=3, seed=19, sigma=0.5).features
+        preds = predict_batch(model, X)
+        paths = tree.decision_paths(model, X)
+        assert len(paths) == X.shape[0]
+        for i, path in enumerate(paths):
+            slot, total = 0, 0.0
+            for node_id, score, went_left in path:
+                assert node_id == slot
+                node = model.nodes[slot]
+                assert went_left == (score < node.threshold)
+                if model.residual_path:
+                    total += score
+                slot = node.left if went_left else node.right
+            # the scores are the products predict_batch sums, in its order
+            assert total + model.nodes[slot].residual_mean == preds[i]
+            # one row alone goes the same way; its matrix-vector products
+            # may differ from the batch's in the last bits
+            single = decision_path(model, X[i])
+            assert [p[0] for p in single] == [p[0] for p in path]
+            assert [p[2] for p in single] == [p[2] for p in path]
+            assert np.allclose([p[1] for p in single], [p[1] for p in path],
+                               rtol=1e-12, atol=1e-12)
+        replay = replay_training_data(model, train)
+        leaves = [view.indices for slot, view in replay.items()
+                  if isinstance(model.nodes[slot], LeafNode)]
+        assert np.array_equal(np.sort(np.concatenate(leaves)), np.arange(train.n))
+
+    def test_empty_input(self):
+        model, _ = depth2_cart()
+        assert predict_batch(model, np.zeros((0, 4))).shape == (0,)
+        assert tree.decision_paths(model, np.zeros((0, 4))) == []
