@@ -33,7 +33,6 @@ from .evaluation import (
     grid_search_lambda,
     load_reference_scores,
     records_to_csv,
-    run_benchmark,
     significance_markers,
     significance_to_csv,
     timings_to_csv,
@@ -187,79 +186,65 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _journal_path(out_dir: str, kind: str) -> str:
-    return os.path.join(out_dir, f"{kind}_journal.csv")
+JOURNAL_COLUMNS = "method,dataset,seed,param_name,param_value,metric,value,wall_time"
 
 
-def _read_journal(path: str):
-    records = []
-    if not os.path.exists(path):
-        return records
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            records.append(ExperimentRecord(
-                method=cells[0], dataset=cells[1], seed=int(cells[2]),
-                param_name=cells[3], param_value=float(cells[4]),
-                metric=cells[5], value=float(cells[6]), wall_time=float(cells[7])))
-    return records
+def _run_journaled(cells, workers: int, journal: str, config_sha: str) -> list:
+    """The records of the (key, function, args) ``cells``, sorted by key.
 
-
-def _journal_line(r: ExperimentRecord) -> str:
-    return ",".join([r.method, r.dataset, str(r.seed), r.param_name,
-                     format(r.param_value, ".17g"), r.metric,
-                     format(r.value, ".17g"), format(r.wall_time, ".17g")])
-
-
-def _run_with_journal(cells, worker, journal: str, done_keys: set):
-    """Run cells one at a time, flushing each finished record so an
-    interrupted run resumes without recomputing."""
-    new_records = []
-    fresh = not os.path.exists(journal)
+    Records already in ``journal`` are read back; the other cells run
+    through ``evaluation.iter_cells`` and this process appends each record
+    as it returns, so an interrupted run resumes without recomputing. The
+    journal starts with the run config's sha256: a journal of another
+    config is refused, untouched. A last line without its newline (a
+    write cut short) is dropped and its cell rerun; any other malformed
+    line is refused."""
+    header = f"# config_sha256 {config_sha}\n{JOURNAL_COLUMNS}\n"
+    done = {}
+    if os.path.exists(journal):
+        with open(journal, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if not text.startswith(header):
+            raise ValueError(f"journal {journal} was not written for this run config "
+                             f"(sha256 {config_sha}); remove it or choose another --out")
+        complete = text[:text.rfind("\n") + 1]
+        if complete != text:
+            with open(journal, "r+b") as fh:
+                fh.truncate(len(complete.encode("utf-8")))
+        for number, line in enumerate(complete.split("\n")[2:-1], start=3):
+            try:
+                method, dataset, seed, name, param, metric, value, wall = line.split(",")
+                record = ExperimentRecord(method, dataset, int(seed), name, float(param),
+                                          metric, float(value), float(wall))
+            except ValueError:
+                raise ValueError(f"journal {journal} line {number}: malformed record "
+                                 f"{line!r}") from None
+            done[record.key()] = record
+    pending = [cell for cell in cells if cell[0] not in done]
+    print(f"{len(cells)} cells, {len(cells) - len(pending)} already done, "
+          f"{len(pending)} to run")
     os.makedirs(os.path.dirname(journal), exist_ok=True)
     with open(journal, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write("method,dataset,seed,param_name,param_value,metric,value,wall_time\n")
+        if fh.tell() == 0:
+            fh.write(header)
             fh.flush()
-        for cell in cells:
-            record = worker(cell)
-            if record.key() in done_keys:
-                continue
-            fh.write(_journal_line(record) + "\n")
+        for r in evaluation.iter_cells(pending, workers):
+            fh.write(",".join([r.method, r.dataset, str(r.seed), r.param_name,
+                               format(r.param_value, ".17g"), r.metric,
+                               format(r.value, ".17g"), format(r.wall_time, ".17g")]) + "\n")
             fh.flush()
-            new_records.append(record)
-    return new_records
+            done[r.key()] = r
+    return [done[key] for key in sorted(key for key, _, _ in cells)]
 
 
 def cmd_sweep(args) -> int:
     config, _ = load_run_config(args.config)
-    journal = _journal_path(args.out, args.kind)
-    previous = _read_journal(journal)
-    done = {r.key() for r in previous}
-
-    cells = evaluation.sweep_cells(config, args.kind)
-
-    def cell_key(cell):
-        cfg, dataset, method, name, depth, n_train, rep = cell
-        param = depth if name == "depth" else n_train
-        seed = evaluation.cell_seed(cfg.seed_base, dataset, method, name, param, rep)
-        return (method, dataset, name, float(param), seed, "mse")
-
-    pending = [c for c in cells if cell_key(c) not in done]
-    print(f"{len(cells)} cells, {len(cells) - len(pending)} already done, "
-          f"{len(pending)} to run")
-    new_records = _run_with_journal(pending, evaluation._sweep_worker, journal, done)
-    records = previous + new_records
+    config_sha = config_hash(args.config)
+    records = _run_journaled(evaluation.sweep_cells(config, args.kind), config.workers,
+                             os.path.join(args.out, f"{args.kind}_journal.csv"), config_sha)
     atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
     atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
-    stamp = {"config_sha256": config_hash(args.config), "kind": args.kind,
+    stamp = {"config_sha256": config_sha, "kind": args.kind,
              "seed_base": config.seed_base, "cells": len(records)}
     atomic_write(os.path.join(args.out, "stamp.json"),
                  json.dumps(stamp, indent=2, sort_keys=True) + "\n")
@@ -273,7 +258,10 @@ def cmd_bench(args) -> int:
     manifest = load_manifest(manifest_path) if manifest_path else None
     base_dir = os.path.dirname(os.path.abspath(manifest_path)) if manifest_path else "."
 
-    records, skipped = run_benchmark(config, manifest, base_dir)
+    config_sha = config_hash(args.config)
+    cells, skipped = evaluation.bench_cells(config, manifest, base_dir)
+    records = _run_journaled(cells, config.workers,
+                             os.path.join(args.out, "bench_journal.csv"), config_sha)
     atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
     atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
 
@@ -284,7 +272,7 @@ def cmd_bench(args) -> int:
     markers = significance_markers(per_repeat, alpha=args.alpha)
     atomic_write(os.path.join(args.out, "significance.csv"),
                  significance_to_csv(markers))
-    report = {"skipped": skipped, "config_sha256": config_hash(args.config),
+    report = {"skipped": skipped, "config_sha256": config_sha,
               "datasets_run": sorted(table)}
     atomic_write(os.path.join(args.out, "report.json"),
                  json.dumps(report, indent=2, sort_keys=True) + "\n")

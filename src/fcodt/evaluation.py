@@ -1,10 +1,13 @@
 """Metrics, lambda grid search, experiment protocols, and significance
 testing.
 
-Every experiment cell derives its own seed from (seed_base, dataset,
-method, parameter, repeat) through sha256, so cells are independent,
-order-insensitive, and reproducible. Wall time is recorded per cell but
-kept out of the canonical results rows so identical configurations emit
+An experiment's cells are enumerated once (``sweep_cells``, ``bench_cells``)
+as (key, function, args): the key is the ``key()`` of the record the cell
+returns, and its seed, derived there from (seed_base, dataset, method,
+parameter, repeat) through sha256, makes cells independent,
+order-insensitive, and reproducible. One runner, ``iter_cells``, runs them
+in this process or a process pool. Wall time is recorded per cell but kept
+out of the canonical results rows so identical configurations emit
 byte-identical results CSVs.
 """
 
@@ -19,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .baselines import fit_cart, fit_cart_many, fit_ridge_odt, fit_ridge_odt_many
+from .baselines import fit_cart_many, fit_ridge_odt_many
 from .datasets import (
     Dataset,
     gen_sim1,
@@ -29,7 +32,7 @@ from .datasets import (
     minmax_scale,
     train_test_split,
 )
-from .tree import ObliqueTreeModel, SplitCriteria, fit_fc_odt, fit_fc_odt_many, predict_batch
+from .tree import ObliqueTreeModel, SplitCriteria, fit_fc_odt_many, predict_batch
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_DEPTHS = (2, 3, 4, 5, 6)
@@ -40,13 +43,12 @@ SIM_GENERATORS = {"sim1": gen_sim1, "sim2": gen_sim2}
 
 def fit_method(method: str, data: Dataset, lam: float,
                criteria: SplitCriteria) -> ObliqueTreeModel:
-    if method == "fc_odt":
-        return fit_fc_odt(data, lam, criteria)
-    if method == "ridge_odt":
-        return fit_ridge_odt(data, lam, criteria)
-    if method == "cart":
-        return fit_cart(data, criteria)
-    raise ValueError(f"unknown method {method!r}")
+    """Fit one ``method`` tree (``fit_method_many`` on one job); raises
+    the exception its fit raised."""
+    model = fit_method_many(method, [(data, lam)], criteria)[0]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def fit_method_many(method: str, jobs, criteria: SplitCriteria) -> list:
@@ -214,8 +216,8 @@ def _tuned_fit(method: str, train: Dataset, config: ExperimentConfig,
     return model, lam, time.perf_counter() - t0
 
 
-def _sim_sweep_cell(config: ExperimentConfig, dataset: str, method: str,
-                    param_name: str, depth: int, n_train: int, rep: int) -> ExperimentRecord:
+def _sweep_cell(config: ExperimentConfig, dataset: str, method: str, param_name: str,
+                depth: int, n_train: int, rep: int, seed: int) -> ExperimentRecord:
     gen = SIM_GENERATORS[dataset]
     param_value = depth if param_name == "depth" else n_train
     # data and test draws are shared across methods and parameter values
@@ -225,7 +227,6 @@ def _sim_sweep_cell(config: ExperimentConfig, dataset: str, method: str,
                 cell_seed(config.seed_base, dataset, "data", rep))
     test = gen(config.test_samples, 0.0,
                cell_seed(config.seed_base, dataset, "test", rep))
-    seed = cell_seed(config.seed_base, dataset, method, param_name, param_value, rep)
     criteria = config.criteria(max_depth=depth)
     model, _, wall = _tuned_fit(method, train, config, criteria, seed)
     value = mse(predict_batch(model, test.features), test.clean_targets)
@@ -234,19 +235,10 @@ def _sim_sweep_cell(config: ExperimentConfig, dataset: str, method: str,
                             metric="mse", value=value, wall_time=wall)
 
 
-def _run_cells(cells, worker, workers: int):
-    if workers <= 1:
-        return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, cells))
-
-
-def _sweep_worker(args):
-    return _sim_sweep_cell(*args)
-
-
-def sweep_cells(config: ExperimentConfig, kind: str):
-    """Enumerate the (dataset, method, parameter, repeat) cells of a sweep."""
+def sweep_cells(config: ExperimentConfig, kind: str) -> list:
+    """The (dataset, method, parameter, repeat) cells of a sweep, each a
+    (key, function, args) triple; ``function(*args)`` returns the record
+    whose ``key()`` is ``key``."""
     if kind == "depth":
         params = [(d, 2000) for d in config.depths]
         name = "depth"
@@ -261,39 +253,19 @@ def sweep_cells(config: ExperimentConfig, kind: str):
             raise ValueError(f"sweeps run on simulated datasets only, got {dataset!r}")
         for method in config.methods:
             for depth, n_train in params:
+                param = depth if name == "depth" else n_train
                 for rep in range(config.repeats):
-                    cells.append((config, dataset, method, name, depth, n_train, rep))
+                    seed = cell_seed(config.seed_base, dataset, method, name, param, rep)
+                    cells.append(((method, dataset, name, float(param), seed, "mse"),
+                                  _sweep_cell,
+                                  (config, dataset, method, name, depth, n_train, rep, seed)))
     return cells
 
 
-def run_depth_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Fresh data draw, per-cell lambda tuning, and noise-free test MSE for
-    every (dataset, depth, repeat, method) cell."""
-    records = _run_cells(sweep_cells(config, "depth"), _sweep_worker, config.workers)
-    return sorted(records, key=lambda r: r.key())
-
-
-def run_sample_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
-    records = _run_cells(sweep_cells(config, "samples"), _sweep_worker, config.workers)
-    return sorted(records, key=lambda r: r.key())
-
-
-def _bench_dataset(config: ExperimentConfig, name: str, rep: int,
-                   manifest: dict | None, base_dir: str) -> Dataset:
-    if name in SIM_GENERATORS:
-        seed = cell_seed(config.seed_base, name, "data", rep)
-        return SIM_GENERATORS[name](2000, config.noise_sigma, seed)
-    if manifest is None:
-        raise FileNotFoundError(f"no manifest supplied for real dataset {name!r}")
-    return load_from_manifest(name, manifest, base_dir)
-
-
-def _bench_cell(config: ExperimentConfig, name: str, method: str, rep: int,
-                data: Dataset) -> ExperimentRecord:
+def _bench_cell(config: ExperimentConfig, name: str, method: str, data: Dataset,
+                split_seed: int, seed: int) -> ExperimentRecord:
     # one partition per (dataset, repeat): every method scores the same split
-    split = train_test_split(data, config.train_fraction,
-                             cell_seed(config.seed_base, name, "split", rep))
-    seed = cell_seed(config.seed_base, name, method, "benchmark", rep)
+    split = train_test_split(data, config.train_fraction, split_seed)
     train = data.subset(split.train_indices)
     test = data.subset(split.test_indices)
     if config.scale_features:
@@ -306,8 +278,64 @@ def _bench_cell(config: ExperimentConfig, name: str, method: str, rep: int,
                             metric="r2", value=value, wall_time=wall)
 
 
-def _bench_worker(args):
-    return _bench_cell(*args)
+def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
+    """The (dataset, repeat, method) cells of the R^2 benchmark as
+    (key, function, args) triples, like ``sweep_cells``, and the datasets
+    skipped because their files are missing. A real dataset is loaded
+    once; a simulated one is drawn once per repeat. Returns (cells,
+    skipped)."""
+    cells = []
+    skipped = []
+    for name in config.datasets:
+        real = None
+        if name not in SIM_GENERATORS:
+            try:
+                if manifest is None:
+                    raise FileNotFoundError(f"no manifest supplied for real dataset {name!r}")
+                real = load_from_manifest(name, manifest, base_dir)
+            except (FileNotFoundError, KeyError) as exc:
+                skipped.append({"dataset": name, "reason": str(exc)})
+                continue
+        for rep in range(config.repeats):
+            data = real if real is not None else SIM_GENERATORS[name](
+                2000, config.noise_sigma, cell_seed(config.seed_base, name, "data", rep))
+            split_seed = cell_seed(config.seed_base, name, "split", rep)
+            for method in config.methods:
+                seed = cell_seed(config.seed_base, name, method, "benchmark", rep)
+                cells.append(((method, name, "depth", float(config.max_depth), seed, "r2"),
+                              _bench_cell, (config, name, method, data, split_seed, seed)))
+    return cells, skipped
+
+
+def _run_cell(cell) -> ExperimentRecord:
+    _, function, args = cell
+    return function(*args)
+
+
+def iter_cells(cells, workers: int):
+    """Run the (key, function, args) cells and yield their records in
+    cell order: in this process when ``workers`` <= 1 or there is one
+    cell, otherwise in a pool of ``min(workers, len(cells))`` processes
+    (a pool starts all its processes on first use)."""
+    cells = list(cells)
+    workers = min(workers, len(cells))
+    if workers <= 1:
+        yield from map(_run_cell, cells)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_cell, cells)
+
+
+def run_depth_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
+    """Fresh data draw, per-cell lambda tuning, and noise-free test MSE for
+    every (dataset, depth, repeat, method) cell."""
+    return sorted(iter_cells(sweep_cells(config, "depth"), config.workers),
+                  key=ExperimentRecord.key)
+
+
+def run_sample_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
+    return sorted(iter_cells(sweep_cells(config, "samples"), config.workers),
+                  key=ExperimentRecord.key)
 
 
 def run_benchmark(config: ExperimentConfig, manifest: dict | None = None,
@@ -315,19 +343,8 @@ def run_benchmark(config: ExperimentConfig, manifest: dict | None = None,
     """3:2 split, per-cell lambda tuning, K = max_depth, test R^2 per
     (dataset, method, repeat). Datasets whose files are missing are
     skipped and reported. Returns (records, skipped)."""
-    cells = []
-    skipped = []
-    for name in config.datasets:
-        for rep in range(config.repeats):
-            try:
-                data = _bench_dataset(config, name, rep, manifest, base_dir)
-            except (FileNotFoundError, KeyError) as exc:
-                skipped.append({"dataset": name, "reason": str(exc)})
-                break
-            for method in config.methods:
-                cells.append((config, name, method, rep, data))
-    records = _run_cells(cells, _bench_worker, config.workers)
-    return sorted(records, key=lambda r: r.key()), skipped
+    cells, skipped = bench_cells(config, manifest, base_dir)
+    return sorted(iter_cells(cells, config.workers), key=ExperimentRecord.key), skipped
 
 
 def rank_sum_test(sample_a, sample_b):
