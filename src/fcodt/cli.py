@@ -18,12 +18,15 @@ import numpy as np
 
 from . import evaluation
 from .datasets import (
+    csv_matrix,
     dataset_to_csv,
     gen_sim1,
     gen_sim2,
     load_manifest,
+    manifest_file,
     parse_csv,
     parse_libsvm,
+    sha256_file,
 )
 from .evaluation import (
     ExperimentConfig,
@@ -150,13 +153,7 @@ def cmd_predict(args) -> int:
     else:
         # no target column: every column is a feature
         with open(args.data, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            X = np.zeros((0, model.input_dim))
-        else:
-            ds = parse_csv(text, 0)
-            X = np.hstack([ds.targets[:, None], ds.features])
+            X = csv_matrix(fh.read())
     if X.shape[0] and X.shape[1] != model.input_dim:
         print(f"error: model expects {model.input_dim} features, data has {X.shape[1]}",
               file=sys.stderr)
@@ -172,7 +169,7 @@ def cmd_predict(args) -> int:
             lines.append(f"{format(pred, '.17g')},{nodes},{scores}")
     else:
         lines.append("prediction")
-        lines.extend(format(v, ".17g") for v in preds)
+        lines.extend(map("{:.17g}".format, preds.tolist()))
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
@@ -189,29 +186,32 @@ def cmd_simulate(args) -> int:
 JOURNAL_COLUMNS = "method,dataset,seed,param_name,param_value,metric,value,wall_time"
 
 
-def _run_journaled(cells, workers: int, journal: str, config_sha: str) -> list:
+def _run_journaled(cells, workers: int, journal: str, stamp: str) -> list:
     """The records of the (key, function, args) ``cells``, sorted by key.
 
     Records already in ``journal`` are read back; the other cells run
     through ``evaluation.iter_cells`` and this process appends each record
     as it returns, so an interrupted run resumes without recomputing. The
-    journal starts with the run config's sha256: a journal of another
-    config is refused, untouched. A last line without its newline (a
-    write cut short) is dropped and its cell rerun; any other malformed
-    line is refused."""
-    header = f"# config_sha256 {config_sha}\n{JOURNAL_COLUMNS}\n"
+    journal starts with ``stamp``, the ``# ``-prefixed lines naming what
+    the records depend on (the run config's sha256, then any real data):
+    a journal with another stamp is refused, untouched. A last line
+    without its newline (a write cut short) is dropped and its cell
+    rerun; any other malformed line is refused."""
+    header = f"{stamp}{JOURNAL_COLUMNS}\n"
     done = {}
     if os.path.exists(journal):
         with open(journal, "rb") as fh:
             text = fh.read().decode("utf-8")
         if not text.startswith(header):
+            expected = "; ".join(line[2:] for line in stamp.splitlines())
             raise ValueError(f"journal {journal} was not written for this run config "
-                             f"(sha256 {config_sha}); remove it or choose another --out")
+                             f"and data ({expected}); remove it or choose another --out")
         complete = text[:text.rfind("\n") + 1]
         if complete != text:
             with open(journal, "r+b") as fh:
                 fh.truncate(len(complete.encode("utf-8")))
-        for number, line in enumerate(complete.split("\n")[2:-1], start=3):
+        skip = header.count("\n")
+        for number, line in enumerate(complete.split("\n")[skip:-1], start=skip + 1):
             try:
                 method, dataset, seed, name, param, metric, value, wall = line.split(",")
                 record = ExperimentRecord(method, dataset, int(seed), name, float(param),
@@ -241,7 +241,8 @@ def cmd_sweep(args) -> int:
     config, _ = load_run_config(args.config)
     config_sha = config_hash(args.config)
     records = _run_journaled(evaluation.sweep_cells(config, args.kind), config.workers,
-                             os.path.join(args.out, f"{args.kind}_journal.csv"), config_sha)
+                             os.path.join(args.out, f"{args.kind}_journal.csv"),
+                             f"# config_sha256 {config_sha}\n")
     atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
     atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
     stamp = {"config_sha256": config_sha, "kind": args.kind,
@@ -260,8 +261,16 @@ def cmd_bench(args) -> int:
 
     config_sha = config_hash(args.config)
     cells, skipped = evaluation.bench_cells(config, manifest, base_dir)
+    stamp = f"# config_sha256 {config_sha}\n"
+    missing = {entry["dataset"] for entry in skipped}
+    for name in config.datasets:
+        if name not in evaluation.SIM_GENERATORS and name not in missing:
+            entry = manifest[name]
+            entry_sha = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
+            file_sha = sha256_file(manifest_file(entry, base_dir))
+            stamp += f"# dataset {name} entry_sha256 {entry_sha} file_sha256 {file_sha}\n"
     records = _run_journaled(cells, config.workers,
-                             os.path.join(args.out, "bench_journal.csv"), config_sha)
+                             os.path.join(args.out, "bench_journal.csv"), stamp)
     atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
     atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
 

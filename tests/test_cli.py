@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fcodt
+from fcodt import datasets
 from fcodt.cli import load_run_config, main
-from fcodt.tree import model_from_text
+from fcodt.tree import model_from_text, predict_batch
 
 
 def run(*argv):
@@ -139,6 +143,35 @@ class TestTrainPredict:
                 total += float(score)
                 slot = node.left if float(score) < node.threshold else node.right
             assert total + model.nodes[slot].residual_mean == float(prediction)
+
+    @pytest.mark.parametrize("with_target", [True, False])
+    def test_predict_table_larger_than_a_block(self, tmp_path, sim_csv, with_target):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        table = datasets.gen_sim1(datasets._CSV_BLOCK_ROWS + 77, 0.1, 9)
+        data_path = tmp_path / "table.csv"
+        if with_target:
+            data_path.write_text(datasets.dataset_to_csv(table, include_clean=True))
+            flags = ["--target", "y", "--drop", "f"]
+        else:
+            data_path.write_text("\n".join(",".join(format(v, ".17g") for v in row)
+                                           for row in table.features.tolist()) + "\n")
+            flags = []
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(data_path),
+                   *flags, "--out", str(pred_path)) == 0
+        preds = predict_batch(model_from_text(model_path.read_text()), table.features)
+        assert pred_path.read_text() == "".join(
+            ["prediction\n"] + [format(v, ".17g") + "\n" for v in preds])
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fcodt.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "fcodt", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: fcodt")
 
 
 class TestInspect:

@@ -1,11 +1,15 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from oracles import csv_reference
 
+from fcodt import datasets
 from fcodt.datasets import (
     Dataset,
+    csv_matrix,
     dataset_to_csv,
     fetch_dataset,
     gen_sim1,
@@ -170,6 +174,124 @@ class TestParseCsv:
         back = parse_csv(text, target_column="y")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
+
+    def test_error_names_source_line_after_blank_lines(self):
+        with pytest.raises(ValueError, match="row 4, column 1: non-numeric cell 'foo'"):
+            parse_csv("x,y\n\n1,2\nfoo,3", target_column="y")
+        with pytest.raises(ValueError, match="row 5: expected 2 cells, got 1"):
+            parse_csv("\nx,y\n \n1,2\n3", target_column="y")
+
+    def test_nonfinite_cell_located(self):
+        with pytest.raises(ValueError, match="row 3, column 2: non-finite cell 'inf'"):
+            parse_csv("x,y\n1,2\n3,inf", target_column="y")
+        # first in row-major order
+        with pytest.raises(ValueError, match="row 2, column 2: non-finite cell '1e400'"):
+            parse_csv("x,y\n1, 1e400\nnan,2", target_column="y")
+
+    def test_non_numeric_cell_wins_over_earlier_nonfinite(self):
+        with pytest.raises(ValueError, match="row 3, column 1: non-numeric"):
+            parse_csv("x,y\nnan,1\nfoo,2", target_column="y")
+
+    def test_nonfinite_in_dropped_column_accepted(self):
+        ds = parse_csv("a,b,y\n1,nan,3", target_column="y", drop_columns=("b",))
+        assert np.array_equal(ds.features, [[1.0]])
+
+
+def _cell(rng, value):
+    """One cell in a spelling ``float()`` reads back exactly."""
+    kind = rng.integers(6)
+    if kind == 0:
+        text = repr(value)
+    elif kind == 1:
+        text = format(value, ".17g")
+    elif kind == 2:
+        text = "%.3e" % value
+    elif kind == 3:
+        text = "1_000.5"
+    elif kind == 4:
+        text = "+" + repr(abs(value))
+    else:
+        text = repr(value).replace("e", "E")
+    pad = ["", " ", "\t", " \t "]
+    return pad[rng.integers(4)] + text + pad[rng.integers(4)]
+
+
+def _random_table(rng, n_rows, ncols, header=True):
+    """CSV text of ``n_rows`` random rows with CRLF endings and blank
+    lines."""
+    values = rng.normal(size=(n_rows, ncols)) * 10.0 ** rng.integers(-8, 9, size=(n_rows, ncols))
+    values[rng.random((n_rows, ncols)) < 0.02] = -0.0
+    values[rng.random((n_rows, ncols)) < 0.02] = 0.0
+    lines = [",".join(f"x{j}" for j in range(ncols - 1)) + ",y"] if header else []
+    for row in values:
+        lines.append(",".join(_cell(rng, v) for v in row.tolist()))
+        if rng.random() < 0.01:
+            lines.append(" " if rng.random() < 0.5 else "")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestCsvBlocks:
+    """The block reader against the cell-by-cell reference reader, on
+    tables that span at least three blocks."""
+
+    N_ROWS = 3 * datasets._CSV_BLOCK_ROWS + 123
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_bitwise_equal_to_reference(self, as_file):
+        text = _random_table(np.random.default_rng(11), self.N_ROWS, 5)
+        source = io.StringIO(text, newline="") if as_file else text
+        ds = parse_csv(source, target_column="y")
+        _, table = csv_reference(text)
+        assert table.shape == (self.N_ROWS, 5)
+        assert np.array_equal(_bits(ds.features), _bits(table[:, :4]))
+        assert np.array_equal(_bits(ds.targets), _bits(table[:, 4]))
+        assert np.signbit(table).any()  # -0.0 survives
+        assert np.array_equal(_bits(csv_matrix(text)), _bits(table))
+
+    def test_headerless_with_drop(self):
+        text = _random_table(np.random.default_rng(12), self.N_ROWS, 4, header=False)
+        ds = parse_csv(text, target_column=0, drop_columns=(2,))
+        _, table = csv_reference(text)
+        assert np.array_equal(_bits(ds.features), _bits(table[:, [1, 3]]))
+        assert np.array_equal(_bits(ds.targets), _bits(table[:, 0]))
+
+    @pytest.mark.parametrize("bad, where", [
+        (["1,2,3"], "row {no}: expected 4 cells, got 3"),
+        # a short and a long line: the block's cell count is right
+        (["1,2,3", "1,2,3,4,5"], "row {no}: expected 4 cells, got 3"),
+        (["1,2,0x10,4"], "row {no}, column 3: non-numeric cell '0x10'"),
+        (["1,2,3, -Infinity "], "row {no}, column 4: non-finite cell '-Infinity'"),
+    ], ids=["ragged", "short_then_long", "non_numeric", "non_finite"])
+    def test_error_in_last_block_located(self, bad, where):
+        text = _random_table(np.random.default_rng(13), self.N_ROWS, 4)
+        lines = text.split("\r\n")
+        assert sum(not ln.strip() for ln in lines) > 10  # blank lines the numbering counts
+        # a line in the last block, after some blank lines, with a non-blank successor
+        no = next(i for i in range(len(lines) - 10, 0, -1)
+                  if lines[i - 1].strip() and lines[i].strip())
+        lines[no - 1:no - 1 + len(bad)] = bad
+        text = "\r\n".join(lines)
+        message = where.format(no=no)
+        with pytest.raises(ValueError) as ref:
+            csv_reference(text)
+        assert str(ref.value) == message
+        with pytest.raises(ValueError) as got:
+            parse_csv(text, target_column="y")
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            csv_matrix(text)
+        assert str(got.value) == message
+
+    def test_score_table_bitwise(self):
+        ds = gen_sim2(datasets._CSV_BLOCK_ROWS + 300, 0.01, 4)
+        text = dataset_to_csv(ds, include_clean=True)
+        back = parse_csv(text, "y", drop_columns=("f",))
+        assert np.array_equal(_bits(back.features), _bits(ds.features))
+        assert np.array_equal(_bits(back.targets), _bits(ds.targets))
 
 
 class TestSplits:

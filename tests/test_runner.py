@@ -217,3 +217,29 @@ class TestJournal:
         assert "4 cells, 4 already done, 0 to run" in capsys.readouterr().out
         for name, data in outputs.items():
             assert (out_dir / name).read_bytes() == data
+
+    @pytest.mark.parametrize("change", ["file", "entry"])
+    def test_bench_refuses_changed_data(self, tmp_path, capsys, change):
+        manifest_path = tmp_path / "manifest.json"
+        manifest = tiny_manifest(tmp_path)
+        manifest_path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path / "cfg.json", datasets=["tiny"], repeats=2)
+        out_dir = tmp_path / "bench"
+        argv = ["bench", "--config", str(cfg), "--manifest", str(manifest_path),
+                "--out", str(out_dir)]
+        assert run(*argv) == 0
+        journal = out_dir / "bench_journal.csv"
+        assert journal.read_text().splitlines()[1].startswith("# dataset tiny entry_sha256 ")
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert "2 cells, 2 already done, 0 to run" in capsys.readouterr().out
+        before = journal.read_bytes()
+        if change == "file":
+            data = tmp_path / "tiny.libsvm"
+            data.write_text("".join(data.read_text().splitlines(keepends=True)[:-1]))
+        else:
+            manifest["tiny"]["n_features"] = 3
+            manifest_path.write_text(json.dumps(manifest))
+        assert run(*argv) == 1
+        assert str(journal) in capsys.readouterr().err
+        assert journal.read_bytes() == before
