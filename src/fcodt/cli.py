@@ -8,6 +8,7 @@ from explicit seed flags or the config's seed base.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,11 +25,11 @@ from .datasets import (
     gen_sim2,
     load_manifest,
     manifest_file,
-    parse_csv,
-    parse_libsvm,
+    read_table,
     sha256_file,
 )
 from .evaluation import (
+    DEFAULT_LAMBDA_GRID,
     ExperimentConfig,
     ExperimentRecord,
     aggregate_benchmark,
@@ -52,12 +53,7 @@ from .tree import (
 
 MANIFEST_ENV = "FCODT_MANIFEST"
 
-CONFIG_KEYS = {
-    "methods", "datasets", "depths", "sample_sizes", "repeats", "lambda_grid",
-    "seed_base", "max_depth", "min_samples_split", "min_samples_leaf",
-    "min_gain", "folds", "train_fraction", "noise_sigma", "test_samples",
-    "workers", "scale_features", "manifest",
-}
+CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"manifest"}
 
 
 def atomic_write(path: str, text: str):
@@ -98,18 +94,6 @@ def config_hash(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_table(path: str, fmt: str, target, drop):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    if fmt == "libsvm":
-        return parse_libsvm(text, name=name)
-    target_spec = target if target is not None else "y"
-    if isinstance(target_spec, str) and target_spec.lstrip("-").isdigit():
-        target_spec = int(target_spec)
-    return parse_csv(text, target_spec, drop_columns=tuple(drop or ()), name=name)
-
-
 def _criteria_from_args(args) -> SplitCriteria:
     return SplitCriteria(
         max_depth=args.max_depth,
@@ -120,7 +104,7 @@ def _criteria_from_args(args) -> SplitCriteria:
 
 
 def cmd_train(args) -> int:
-    data = _load_table(args.data, args.format, args.target, args.drop)
+    data = read_table(args.data, args.format, args.target, args.drop)
     if data.n == 0:
         print("error: training data is empty", file=sys.stderr)
         return 1
@@ -148,7 +132,7 @@ def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = model_from_text(fh.read())
     if args.target is not None or args.format == "libsvm":
-        data = _load_table(args.data, args.format, args.target, args.drop)
+        data = read_table(args.data, args.format, args.target, args.drop)
         X = data.features
     else:
         # no target column: every column is a feature
@@ -314,7 +298,7 @@ def cmd_inspect(args) -> int:
             print("error: --stumps requires --data with the training table",
                   file=sys.stderr)
             return 1
-        data = _load_table(args.data, args.format, args.target, args.drop)
+        data = read_table(args.data, args.format, args.target, args.drop)
         basis = compute_stumps(model, data)
         gram = stump_gram_matrix(basis)
         gram_err = float(np.max(np.abs(gram - np.eye(gram.shape[0])))) if gram.size else 0.0
@@ -346,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fc_odt")
     p.add_argument("--lambda", dest="lam", default="0.01",
                    help="ridge strength, or 'cv' for grid-searched")
-    p.add_argument("--grid", default="0.0001,0.001,0.01,0.1,1,10,100,1000")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid", default=",".join(format(v, "g") for v in DEFAULT_LAMBDA_GRID))
+    p.add_argument("--folds", type=int, default=ExperimentConfig.folds)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--min-split", type=int, default=20)
-    p.add_argument("--min-leaf", type=int, default=8)
-    p.add_argument("--min-gain", type=float, default=0.0)
+    p.add_argument("--max-depth", type=int, default=SplitCriteria.max_depth)
+    p.add_argument("--min-split", type=int, default=SplitCriteria.min_samples_split)
+    p.add_argument("--min-leaf", type=int, default=SplitCriteria.min_samples_leaf)
+    p.add_argument("--min-gain", type=float, default=SplitCriteria.min_gain)
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train)
 

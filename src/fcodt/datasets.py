@@ -432,6 +432,33 @@ def manifest_file(entry: dict, base_dir: str = ".") -> str:
     return os.path.join(base_dir, entry["path"])
 
 
+def _column(spec):
+    """A CSV column spec: an int, or a string of digits (with an optional
+    leading minus), is a 0-based index; any other string is a header
+    name."""
+    if isinstance(spec, str) and spec.lstrip("-").isdigit():
+        return int(spec)
+    return spec
+
+
+def read_table(path: str, fmt: str = "csv", target="y", drop=(),
+               expected_dim: int | None = None, name: str | None = None) -> Dataset:
+    """Read the ``csv`` or ``libsvm`` table at ``path``. For CSV,
+    ``target`` and each ``drop`` entry name a column by header name or
+    0-based index; ``expected_dim`` bounds LIBSVM feature indices. The
+    dataset is named ``name``, by default the file's base name without
+    its extension."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if name is None:
+        name = os.path.splitext(os.path.basename(path))[0]
+    if fmt == "libsvm":
+        return parse_libsvm(text, expected_dim=expected_dim, name=name)
+    if fmt == "csv":
+        return parse_csv(text, _column(target), tuple(map(_column, drop)), name=name)
+    raise ValueError(f"unknown dataset format {fmt!r}")
+
+
 def load_from_manifest(name: str, manifest: dict, base_dir: str = ".") -> Dataset:
     """Resolve and parse a named real-world dataset from its manifest entry."""
     if name not in manifest:
@@ -440,13 +467,5 @@ def load_from_manifest(name: str, manifest: dict, base_dir: str = ".") -> Datase
     path = manifest_file(entry, base_dir)
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file for {name!r} not found at {path}")
-    fmt = entry.get("format", "libsvm")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "libsvm":
-        ds = parse_libsvm(text, expected_dim=entry.get("n_features"), name=name)
-    elif fmt == "csv":
-        ds = parse_csv(text, entry.get("target", "y"), name=name)
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
-    return ds
+    return read_table(path, entry.get("format", "libsvm"), entry.get("target", "y"),
+                      expected_dim=entry.get("n_features"), name=name)

@@ -113,10 +113,10 @@ class ExperimentConfig:
     repeats: int = 10
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     seed_base: int = 0
-    max_depth: int = 4
-    min_samples_split: int = 20
-    min_samples_leaf: int = 8
-    min_gain: float = 0.0
+    max_depth: int = SplitCriteria.max_depth
+    min_samples_split: int = SplitCriteria.min_samples_split
+    min_samples_leaf: int = SplitCriteria.min_samples_leaf
+    min_gain: float = SplitCriteria.min_gain
     folds: int = 5
     train_fraction: float = 0.6
     noise_sigma: float = 0.01
@@ -347,6 +347,19 @@ def run_benchmark(config: ExperimentConfig, manifest: dict | None = None,
     return sorted(iter_cells(cells, config.workers), key=ExperimentRecord.key), skipped
 
 
+def _midranks(values):
+    """(ranks, tie_sizes) of the 1-d array ``values``: ascending 1-based
+    ranks, where tied values share the mean of their positions, and the
+    size of each group of tied values, in ascending order of value."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    tie_sizes = np.diff(np.r_[starts, ordered.size])
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat(starts + (tie_sizes + 1) / 2.0, tie_sizes)
+    return ranks, tie_sizes.tolist()
+
+
 def rank_sum_test(sample_a, sample_b):
     """Two-sided Wilcoxon rank-sum test.
 
@@ -363,18 +376,7 @@ def rank_sum_test(sample_a, sample_b):
     n1, n2 = a.size, b.size
     n = n1 + n2
 
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(n)
-    sv = pooled[order]
-    i = 0
-    tie_sizes = []
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
+    ranks, tie_sizes = _midranks(pooled)
     w = float(ranks[:n1].sum())
 
     if len(tie_sizes) == 1:  # every value identical
@@ -435,21 +437,12 @@ def _average_ranks(table: dict) -> dict:
     methods = sorted({m for row in table.values() for m in row})
     sums = {m: 0.0 for m in methods}
     counts = {m: 0 for m in methods}
-    for _, row in table.items():
+    for row in table.values():
         present = [m for m in methods if m in row]
-        means = {m: row[m][0] for m in present}
-        by_score = sorted(present, key=lambda m: -means[m])
-        pos = 0
-        while pos < len(by_score):
-            end = pos
-            while (end + 1 < len(by_score)
-                   and means[by_score[end + 1]] == means[by_score[pos]]):
-                end += 1
-            avg_rank = (pos + end) / 2.0 + 1.0
-            for m in by_score[pos:end + 1]:
-                sums[m] += avg_rank
-                counts[m] += 1
-            pos = end + 1
+        ranks, _ = _midranks(-np.array([row[m][0] for m in present]))
+        for m, rank in zip(present, ranks.tolist()):
+            sums[m] += rank
+            counts[m] += 1
     return {m: sums[m] / counts[m] for m in methods if counts[m]}
 
 

@@ -48,52 +48,41 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def cholesky_factor(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric matrix.
-
-    Raises NotPositiveDefiniteError naming the offending pivot when the
-    matrix is not positive definite within floating-point tolerance.
-    """
-    A = _as_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {n}x{m}")
-    L = np.zeros_like(A)
-    for j in range(n):
-        # pivot = A[j,j] minus the squared norm of the row built so far
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPositiveDefiniteError(j)
-        ljj = np.sqrt(pivot)
-        L[j, j] = ljj
-        if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / ljj
-    return L
-
-
-def _solve_triangular(L: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    n = L.shape[0]
-    x = np.zeros_like(b)
-    if lower:
-        for i in range(n):
-            x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
-    else:
-        for i in range(n - 1, -1, -1):
-            x[i] = (b[i] - L[i, i + 1:] @ x[i + 1:]) / L[i, i]
-    return x
+def _factors(A: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky factorisation of ``A`` succeeds."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky."""
+    """Solve A x = b for symmetric positive-definite A: LAPACK's Cholesky
+    factorisation checks positive definiteness, then ``np.linalg.solve``
+    solves, the two calls ``solve_ridge_many`` makes.
+
+    When the factorisation fails, NotPositiveDefiniteError names the
+    pivot k of the smallest leading (k+1)x(k+1) block that fails to
+    factor. An exactly singular A has a zero pivot that rounds either
+    way, so it can fail there or at the next pivot, or pass the check;
+    if the solve then meets the exact zero, the error names the last
+    pivot.
+    """
     A = _as_matrix(A)
     b = _as_vector(b)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape[0]}x{A.shape[1]}")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}")
-    L = cholesky_factor(A)
-    z = _solve_triangular(L, b, lower=True)
-    return _solve_triangular(L.T, z, lower=False)
+    n = A.shape[0]
+    if n != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {n}x{A.shape[1]}")
+    if n != b.shape[0]:
+        raise ValueError(f"dimension mismatch: A is {n}x{n}, b has length {b.shape[0]}")
+    if _factors(A):
+        try:
+            return np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:  # exactly singular
+            pass
+    raise NotPositiveDefiniteError(
+        next((k for k in range(n) if not _factors(A[:k + 1, :k + 1])), n - 1))
 
 
 def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
@@ -143,10 +132,8 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
         means.append((x_mean, y_mean))
     diag = np.arange(d)
     grams[:, diag, diag] += lams[:, None]
-    try:
-        np.linalg.cholesky(grams)  # the positive-definiteness check
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("singular system: matrix is not positive definite") from exc
+    if not _factors(grams):
+        raise SingularSystemError("singular system: matrix is not positive definite")
     weights = np.linalg.solve(grams, rhs)[:, :, 0]
     return [RidgeSolution(weights=w, intercept=float(y_mean - x_mean @ w) if fit_intercept else 0.0,
                           lam=float(lam))

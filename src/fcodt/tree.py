@@ -967,7 +967,21 @@ def model_to_text(model: ObliqueTreeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(text: str, cast, where: str):
+    """``cast(text)``, finite; otherwise a ValueError naming ``where``."""
+    try:
+        value = cast(text)
+    except ValueError:
+        raise ValueError(f"{where}: malformed number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: non-finite value {text!r}")
+    return value
+
+
 def model_from_text(text: str) -> ObliqueTreeModel:
+    """Parse a ``model_to_text`` document. A malformed line, a wrong field
+    count or a non-finite number raises ValueError naming the field and,
+    on a node line, the node index."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty model document")
@@ -992,11 +1006,11 @@ def model_from_text(text: str) -> ObliqueTreeModel:
         max_depth=int(fields["max_depth"]),
         min_samples_split=int(fields["min_samples_split"]),
         min_samples_leaf=int(fields["min_samples_leaf"]),
-        min_gain=float(fields["min_gain"]),
+        min_gain=_number(fields["min_gain"], float, "min_gain"),
     )
     model = ObliqueTreeModel(
         input_dim=int(fields["input_dim"]),
-        lam=float(fields["lambda"]),
+        lam=_number(fields["lambda"], float, "lambda"),
         criteria=criteria,
         concatenate=bool(int(fields["concatenate"])),
         residual_path=bool(int(fields["residual_path"])),
@@ -1006,33 +1020,37 @@ def model_from_text(text: str) -> ObliqueTreeModel:
     node_lines = lines[10:]
     if len(node_lines) != n_nodes:
         raise ValueError(f"expected {n_nodes} node lines, found {len(node_lines)}")
-    for ln in node_lines:
-        parts = ln.split()
-        if parts[0] == "split":
-            depth = int(parts[1])
-            projection = np.array([float(v) for v in parts[6:]])
+    for i, ln in enumerate(node_lines):
+        kind, *values = ln.split()
+        if kind == "split":
+            depth = _number(values[0], int, f"node {i} depth") if values else 0
             expected_len = (model.input_dim + depth + 1 if model.concatenate
                             else model.input_dim + 1)
-            if projection.shape[0] != expected_len:
+            if len(values) != 5 + expected_len:
                 raise ValueError(
-                    f"projection length {projection.shape[0]} inconsistent with "
-                    f"depth {depth} (expected {expected_len})")
+                    f"node {i}: split at depth {depth} has {len(values)} fields, expected "
+                    f"{5 + expected_len} (depth, threshold, gain, left, right and "
+                    f"{expected_len} projection entries)")
             model.nodes.append(ObliqueNode(
                 depth=depth,
-                threshold=float(parts[2]),
-                gain=float(parts[3]),
-                left=int(parts[4]),
-                right=int(parts[5]),
-                projection=projection,
+                threshold=_number(values[1], float, f"node {i} threshold"),
+                gain=_number(values[2], float, f"node {i} gain"),
+                left=_number(values[3], int, f"node {i} left"),
+                right=_number(values[4], int, f"node {i} right"),
+                projection=np.array([_number(v, float, f"node {i} projection[{j}]")
+                                     for j, v in enumerate(values[5:])]),
             ))
-        elif parts[0] == "leaf":
+        elif kind == "leaf":
+            if len(values) != 3:
+                raise ValueError(f"node {i}: leaf has {len(values)} fields, expected 3 "
+                                 f"(depth, value, count)")
             model.nodes.append(LeafNode(
-                depth=int(parts[1]),
-                residual_mean=float(parts[2]),
-                sample_count=int(parts[3]),
+                depth=_number(values[0], int, f"node {i} depth"),
+                residual_mean=_number(values[1], float, f"node {i} value"),
+                sample_count=_number(values[2], int, f"node {i} count"),
             ))
         else:
-            raise ValueError(f"unknown node kind {parts[0]!r}")
+            raise ValueError(f"node {i}: unknown node kind {kind!r}")
     _check_tree(model.nodes)
     return model
 

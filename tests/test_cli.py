@@ -91,6 +91,33 @@ class TestTrainPredict:
                    "--lambda", "0.1", "--out", str(model_path)) == 1
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_columns_by_index(self, tmp_path, sim_csv, header):
+        # sim.csv's columns are x1..x10, y, f: y is column 10 and f column 11
+        by_name = tmp_path / "by_name.txt"
+        assert run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+                   "--lambda", "0.1", "--max-depth", "2", "--out", str(by_name)) == 0
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(sim_csv.read_text().splitlines()[1 - header:]) + "\n")
+        by_index = tmp_path / "by_index.txt"
+        assert run("train", "--data", str(table), "--target", "10", "--drop", "11",
+                   "--lambda", "0.1", "--max-depth", "2", "--out", str(by_index)) == 0
+        assert by_index.read_text() == by_name.read_text()
+
+    @pytest.mark.parametrize("line", ["leaf 1", "split", "leaf 1 nan 10"])
+    def test_predict_rejects_malformed_model(self, tmp_path, sim_csv, capsys, line):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "1", "--out", str(model_path))
+        lines = model_path.read_text().splitlines()
+        lines[-1] = line
+        model_path.write_text("\n".join(lines) + "\n")
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(sim_csv),
+                   "--target", "y", "--drop", "f", "--out", str(pred_path)) == 1
+        assert capsys.readouterr().err.startswith("error: node 2")
+        assert not pred_path.exists()
+
     def test_predict_dimension_mismatch(self, tmp_path, sim_csv):
         model_path = tmp_path / "model.txt"
         run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",

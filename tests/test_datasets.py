@@ -357,6 +357,20 @@ class TestManifest:
         ds = load_from_manifest("tiny", manifest, str(tmp_path))
         assert ds.n == 2 and ds.dim == 2
 
+    def test_csv_entry(self, tmp_path):
+        (tmp_path / "tiny.csv").write_text("a,t,b\n1,10,2\n3,30,4\n")
+        manifest = {"small": {"path": "tiny.csv", "format": "csv", "target": "t"}}
+        ds = load_from_manifest("small", manifest, str(tmp_path))
+        assert np.array_equal(ds.targets, [10.0, 30.0])
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.meta["name"] == "small"
+
+    def test_unknown_format_raises(self, tmp_path):
+        (tmp_path / "tiny.arff").write_text("@relation tiny\n")
+        manifest = {"tiny": {"path": "tiny.arff", "format": "arff"}}
+        with pytest.raises(ValueError, match="unknown dataset format 'arff'"):
+            load_from_manifest("tiny", manifest, str(tmp_path))
+
     def test_missing_file_raises(self, tmp_path):
         manifest = {"gone": {"path": "nope.libsvm", "format": "libsvm"}}
         with pytest.raises(FileNotFoundError):

@@ -5,6 +5,7 @@ from fcodt import evaluation
 from fcodt.datasets import Dataset, gen_sim1
 from fcodt.evaluation import (
     ExperimentConfig,
+    ExperimentRecord,
     aggregate_benchmark,
     aggregate_to_csv,
     cell_seed,
@@ -232,6 +233,14 @@ class TestBenchmark:
         table, ranks, _ = aggregate_benchmark(records, reference)
         assert "tao" in table["sim1"]
         assert ranks["fc_odt"] == 1.0 and ranks["tao"] == 2.0
+
+    def test_tied_means_share_average_rank(self):
+        records = [ExperimentRecord(method, dataset, seed, "depth", 4.0, "r2", value)
+                   for dataset, values in (("d1", {"a": 0.9, "b": 0.9, "c": 0.5}),
+                                           ("d2", {"a": 0.8, "b": 0.7, "c": 0.7}))
+                   for method, value in values.items() for seed in (1, 2)]
+        _, ranks, _ = aggregate_benchmark(records)
+        assert ranks == {"a": (1.5 + 1.0) / 2, "b": (1.5 + 2.5) / 2, "c": (3.0 + 2.5) / 2}
 
     def test_significance_markers(self):
         per_repeat = {

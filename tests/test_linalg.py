@@ -47,6 +47,16 @@ class TestSpdSolve:
             spd_solve(A, np.array([1.0, 1.0]))
         assert err.value.pivot_index == 1
 
+    @pytest.mark.parametrize("pivot", [2, 3])
+    def test_pivot_is_first_failing_leading_block(self, pivot):
+        # A = L D L^T: the leading blocks before ``pivot`` are positive definite
+        L = np.tril(np.random.default_rng(pivot).normal(size=(4, 4)), -1) + np.eye(4)
+        D = np.array([1.0, 2.0, 3.0, 4.0])
+        D[pivot] = -1.0
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            spd_solve(L @ np.diag(D) @ L.T, np.ones(4))
+        assert err.value.pivot_index == pivot
+
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(6, 6))

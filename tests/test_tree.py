@@ -398,6 +398,46 @@ class TestLoaderTreeChecks:
             model_from_text(edited(head, nodes, {(3, 1): 3}))  # a depth-2 leaf at depth 3
 
 
+class TestLoaderFieldChecks:
+    """Node lines of a depth-1 cart tree (a split and two leaves) with one
+    field broken; each is rejected with a ValueError naming the node and
+    the field, not an IndexError or a model that predicts NaN."""
+
+    @pytest.mark.parametrize("slot, line, match", [
+        (1, "leaf 1", "node 1: leaf has 1 fields"),
+        (2, "leaf 1 0.5 10 7", "node 2: leaf has 4 fields"),
+        (0, "split", "node 0: split at depth 0 has 0 fields"),
+        (0, "split 0 0.5 1.0 1 2", "node 0: split at depth 0 has 5 fields"),
+    ])
+    def test_rejects_wrong_field_count(self, slot, line, match):
+        head, nodes = cart_model_text(1)
+        nodes[slot] = line
+        with pytest.raises(ValueError, match=match):
+            model_from_text("\n".join(head + nodes) + "\n")
+
+    @pytest.mark.parametrize("slot, field, value, match", [
+        (1, 2, "nan", "node 1 value: non-finite"),
+        (2, 2, "-inf", "node 2 value: non-finite"),
+        (0, 2, "inf", "node 0 threshold: non-finite"),
+        (0, 3, "nan", "node 0 gain: non-finite"),
+        (0, 6, "nan", r"node 0 projection\[0\]: non-finite"),
+        (0, 7, "1e400", r"node 0 projection\[1\]: non-finite"),
+        (0, 6, "abc", r"node 0 projection\[0\]: malformed"),
+        (1, 3, "ten", "node 1 count: malformed"),
+    ])
+    def test_rejects_bad_number(self, slot, field, value, match):
+        head, nodes = cart_model_text(1)
+        with pytest.raises(ValueError, match=match):
+            model_from_text(edited(head, nodes, {(slot, field): value}))
+
+    @pytest.mark.parametrize("key", ["lambda", "min_gain"])
+    def test_rejects_non_finite_header(self, key):
+        head, nodes = cart_model_text(1)
+        head = [f"{key} nan" if line.split()[0] == key else line for line in head]
+        with pytest.raises(ValueError, match=f"{key}: non-finite"):
+            model_from_text("\n".join(head + nodes) + "\n")
+
+
 def depth2_cart():
     ds = make_dataset(n=120, d=4, seed=17)
     return fit_cart(ds, loose_criteria(max_depth=2, min_samples_split=20,
