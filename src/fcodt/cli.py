@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 
@@ -41,14 +42,14 @@ from .evaluation import (
     significance_to_csv,
     timings_to_csv,
 )
-from .stumps import compute_stumps, stump_gram_matrix, verify_orthogonal_expansion
+from .stumps import stump_diagnostics, stump_gram_matrix
 from .tree import (
     ObliqueNode,
     SplitCriteria,
-    decision_paths,
     model_from_text,
     model_to_text,
     predict_batch,
+    route_batch,
 )
 
 MANIFEST_ENV = "FCODT_MANIFEST"
@@ -128,6 +129,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _explain_lines(model, routing) -> list:
+    """One ``prediction,path_nodes,path_scores`` line per routed row:
+    node ids and scores root first, ``;``-separated."""
+    depths = np.array([node.depth for node in model.nodes])[routing.leaves]
+    # row-major: each row's prediction, then its path scores
+    kept = np.arange(routing.scores.shape[1] + 1) <= depths[:, None]
+    cells = iter(map("{:.17g}".format,
+                     np.column_stack([routing.predictions, routing.scores])[kept].tolist()))
+    nodes = {slot: ";".join(map(str, path)) for slot, path in routing.paths.items()}
+    return [f"{next(cells)},{nodes[leaf]},{';'.join(islice(cells, depth))}"
+            for leaf, depth in zip(routing.leaves.tolist(), depths.tolist())]
+
+
 def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = model_from_text(fh.read())
@@ -142,18 +156,13 @@ def cmd_predict(args) -> int:
         print(f"error: model expects {model.input_dim} features, data has {X.shape[1]}",
               file=sys.stderr)
         return 1
-    preds = predict_batch(model, X) if X.shape[0] else np.zeros(0)
-    lines = []
     if args.explain:
-        lines.append("prediction,path_nodes,path_scores")
-        paths = decision_paths(model, X) if X.shape[0] else []
-        for pred, path in zip(preds, paths):
-            nodes = ";".join(str(p[0]) for p in path)
-            scores = ";".join(format(p[1], ".17g") for p in path)
-            lines.append(f"{format(pred, '.17g')},{nodes},{scores}")
+        lines = ["prediction,path_nodes,path_scores"]
+        if X.shape[0]:
+            lines.extend(_explain_lines(model, route_batch(model, X)))
     else:
-        lines.append("prediction")
-        lines.extend(map("{:.17g}".format, preds.tolist()))
+        preds = predict_batch(model, X) if X.shape[0] else np.zeros(0)
+        lines = ["prediction", *map("{:.17g}".format, preds.tolist())]
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
@@ -299,10 +308,9 @@ def cmd_inspect(args) -> int:
                   file=sys.stderr)
             return 1
         data = read_table(args.data, args.format, args.target, args.drop)
-        basis = compute_stumps(model, data)
+        basis, deviation = stump_diagnostics(model, data)
         gram = stump_gram_matrix(basis)
         gram_err = float(np.max(np.abs(gram - np.eye(gram.shape[0])))) if gram.size else 0.0
-        deviation = verify_orthogonal_expansion(model, data)
         print(f"stumps: {basis.stumps.shape[1]} kept, {len(basis.dropped)} dropped")
         print(f"max gram deviation from identity: {gram_err:.3e}")
         print(f"max orthogonal-expansion deviation: {deviation:.3e}")

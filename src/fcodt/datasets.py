@@ -239,6 +239,29 @@ def _line_number(lines, k: int) -> int:
     return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
 
 
+def _convert_block(block, rows: np.ndarray) -> bool:
+    """Fill ``rows`` with the cells of the ``block`` lines by one numpy
+    conversion; False, with ``rows`` untouched, when a line does not have
+    ``rows.shape[1]`` cells or a cell does not convert. The block's cell
+    strings are freed when the call returns, before the next block is
+    split."""
+    ncols = rows.shape[1]
+    # a "\n" cell joins the lines: every line has ncols cells when the
+    # count matches and the cells at ncols + 1 strides are all "\n". A
+    # line's own "\n" cell can pass that check but never converts.
+    cells = ",\n,".join(block).split(",")
+    sentinels = cells[ncols::ncols + 1]
+    if (len(cells) != len(block) * (ncols + 1) - 1
+            or sentinels.count("\n") != len(sentinels)):
+        return False
+    del cells[ncols::ncols + 1]
+    try:
+        rows[:] = np.array(cells, dtype=np.float64).reshape(rows.shape)
+    except ValueError:
+        return False
+    return True
+
+
 def _csv_values(lines, body, skip: int, ncols: int, used) -> np.ndarray:
     """The ``(len(body), ncols)`` float64 values of the ``body`` lines,
     each cell as Python ``float()`` reads it; ``skip`` non-blank lines
@@ -251,17 +274,11 @@ def _csv_values(lines, body, skip: int, ncols: int, used) -> np.ndarray:
     Once the whole table has converted, the first non-finite cell of the
     ``used`` columns in row-major order is rejected."""
     table = np.empty((len(body), ncols))
-    commas = ncols - 1
     for start in range(0, len(body), _CSV_BLOCK_ROWS):
         block = body[start:start + _CSV_BLOCK_ROWS]
         rows = table[start:start + len(block)]
-        if all(ln.count(",") == commas for ln in block):
-            try:
-                rows[:] = np.array(",".join(block).split(","),
-                                   dtype=np.float64).reshape(rows.shape)
-                continue
-            except ValueError:
-                pass
+        if _convert_block(block, rows):
+            continue
         for i, line in enumerate(block):
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != ncols:

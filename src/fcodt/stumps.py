@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .linalg import predict_linear, solve_ridge
+from .linalg import predict_linear, solve_ridge_many
 from .tree import ObliqueNode, ObliqueTreeModel, replay_training_data
 
 # floor keeps child solves well-posed when the model was fit at lambda=0
@@ -55,28 +55,59 @@ def _check_diag_preconditions(model: ObliqueTreeModel):
             "stump diagnostics require a model fit with concatenate and residual_path on")
 
 
-def _node_fits(model: ObliqueTreeModel, data: Dataset) -> dict[int, np.ndarray]:
-    """Per node: ridge prediction of the original targets from the node's
-    concatenated features, as a length-n vector that is zero off-node."""
-    replay = replay_training_data(model, data)
-    unreached = [slot for slot in range(len(model.nodes)) if slot not in replay]
-    if unreached:
-        raise ValueError(f"no row of the data reaches node {unreached[0]}")
+@dataclass
+class _Replay:
+    """One replay of a dataset through a model with the ridge fits (at the
+    floored lambda) that every diagnostic reads: the per-node ``views``;
+    per reached node the fit of the original targets on its features, a
+    length-n vector that is zero off-node (``fits``); and the
+    path-telescoped linear prediction (``path_prediction``)."""
+
+    views: dict
+    fits: dict
+    path_prediction: np.ndarray
+
+
+def _replay_fits(model: ObliqueTreeModel, data: Dataset) -> _Replay:
+    """Replay ``data`` once and fit every node's original targets and
+    every leaf's incoming residuals, one ``solve_ridge_many`` call per
+    feature width; each solve equals ``solve_ridge`` on its own problem."""
+    _check_diag_preconditions(model)
+    views = replay_training_data(model, data)
     lam = max(model.lam, _MIN_DIAG_LAMBDA)
     y = data.targets
-    fits: dict[int, np.ndarray] = {}
-    for slot, view in replay.items():
-        vec = np.zeros(data.n)
-        sol = solve_ridge(view.features, y[view.indices], lam)
-        vec[view.indices] = predict_linear(sol, view.features)
-        fits[slot] = vec
-    return fits
+    problems: dict[int, list] = {}
+    for slot, view in views.items():
+        batch = problems.setdefault(view.features.shape[1], [])
+        batch.append(((slot, "node"), view.features, y[view.indices]))
+        if view.scores is None:
+            batch.append(((slot, "leaf"), view.features, view.incoming))
+    preds = {}
+    for batch in problems.values():
+        solutions = solve_ridge_many([(X, t) for _, X, t in batch], [lam] * len(batch))
+        for (key, X, _), sol in zip(batch, solutions):
+            preds[key] = predict_linear(sol, X)
+    fits = {}
+    path_prediction = np.zeros(data.n)
+    for slot, view in views.items():
+        fits[slot] = np.zeros(data.n)
+        fits[slot][view.indices] = preds[slot, "node"]
+        if view.scores is None:
+            path_prediction[view.indices] += preds[slot, "leaf"]
+        else:
+            path_prediction[view.indices] += view.scores
+    return _Replay(views, fits, path_prediction)
 
 
-def compute_stumps(model: ObliqueTreeModel, data: Dataset) -> StumpBasis:
-    """Build the orthonormal stump basis on the model's training data."""
-    _check_diag_preconditions(model)
-    fits = _node_fits(model, data)
+def _check_every_node_reached(model: ObliqueTreeModel, replay: _Replay):
+    unreached = [slot for slot in range(len(model.nodes)) if slot not in replay.views]
+    if unreached:
+        raise ValueError(f"no row of the data reaches node {unreached[0]}")
+
+
+def _basis(model: ObliqueTreeModel, data: Dataset, replay: _Replay) -> StumpBasis:
+    _check_every_node_reached(model, replay)
+    fits = replay.fits
     n = data.n
     y = data.targets
     y_scale = max(1.0, float(np.sqrt(np.mean(y * y))))
@@ -106,6 +137,11 @@ def compute_stumps(model: ObliqueTreeModel, data: Dataset) -> StumpBasis:
                       node_ids=node_ids, dropped=dropped)
 
 
+def compute_stumps(model: ObliqueTreeModel, data: Dataset) -> StumpBasis:
+    """Build the orthonormal stump basis on the model's training data."""
+    return _basis(model, data, _replay_fits(model, data))
+
+
 def path_linear_prediction(model: ObliqueTreeModel, data: Dataset) -> np.ndarray:
     """Training predictions of the path-telescoped linear estimator: the
     sum of the model's projection scores along each path plus a leaf-level
@@ -116,27 +152,23 @@ def path_linear_prediction(model: ObliqueTreeModel, data: Dataset) -> np.ndarray
     the leaf term, where the residual mean is replaced by the leaf's
     linear correction.
     """
-    _check_diag_preconditions(model)
-    replay = replay_training_data(model, data)
-    lam = max(model.lam, _MIN_DIAG_LAMBDA)
-    out = np.zeros(data.n)
-    for slot, view in replay.items():
-        node = model.nodes[slot]
-        if isinstance(node, ObliqueNode):
-            out[view.indices] += view.scores
-        else:
-            sol = solve_ridge(view.features, view.incoming, lam)
-            out[view.indices] += predict_linear(sol, view.features)
-    return out
+    return _replay_fits(model, data).path_prediction
+
+
+def stump_diagnostics(model: ObliqueTreeModel, data: Dataset) -> tuple[StumpBasis, float]:
+    """``compute_stumps`` and ``verify_orthogonal_expansion`` from one
+    replay of the data."""
+    replay = _replay_fits(model, data)
+    basis = _basis(model, data, replay)
+    expansion = basis.stumps @ basis.coefficients
+    gap = float(np.max(np.abs(replay.path_prediction - expansion))) if data.n else 0.0
+    return basis, gap
 
 
 def verify_orthogonal_expansion(model: ObliqueTreeModel, data: Dataset) -> float:
     """Max absolute gap, over training points, between the path-telescoped
     linear prediction and the stump expansion sum_t <y, psi_t> psi_t."""
-    basis = compute_stumps(model, data)
-    expansion = basis.stumps @ basis.coefficients
-    target = path_linear_prediction(model, data)
-    return float(np.max(np.abs(target - expansion))) if data.n else 0.0
+    return stump_diagnostics(model, data)[1]
 
 
 def stump_gram_matrix(basis: StumpBasis) -> np.ndarray:
@@ -152,16 +184,16 @@ def linear_impurity_decrease(model: ObliqueTreeModel, data: Dataset) -> dict[int
     """Impurity decrease per internal node recomputed with node-wise
     linear predictions: the node's own full-target ridge fit as baseline
     (zero at the root) against the children's fits."""
-    _check_diag_preconditions(model)
-    fits = _node_fits(model, data)
+    replay = _replay_fits(model, data)
+    _check_every_node_reached(model, replay)
+    fits = replay.fits
     y = data.targets
     n = data.n
-    replay = replay_training_data(model, data)
     out = {}
     for slot, node in enumerate(model.nodes):
         if not isinstance(node, ObliqueNode):
             continue
-        idx = replay[slot].indices
+        idx = replay.views[slot].indices
         parent_pred = fits[slot][idx] if slot != 0 else 0.0
         child_pred = (fits[node.left] + fits[node.right])[idx]
         y_node = y[idx]

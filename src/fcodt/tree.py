@@ -34,8 +34,9 @@ threshold searches run as batches. Only the split search differs
 (the best single column by ``best_threshold``, the ``cart`` baseline).
 Every prediction goes through one router (``_walk``), which passes each
 node's scores down the path: ``predict_batch``, ``predict``,
-``decision_path(s)`` and ``replay_training_data`` only read what it
-yields. Models load only when their nodes form one tree.
+``route_batch`` (and ``decision_path(s)`` through it) and
+``replay_training_data`` only read what it yields. Models load only
+when their nodes form one tree.
 """
 
 from __future__ import annotations
@@ -892,19 +893,50 @@ def predict_batch(model: ObliqueTreeModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass
+class Routing:
+    """One routing pass over the rows of ``X``: ``predictions`` equal to
+    ``predict_batch``'s bit for bit, each row's leaf slot in ``leaves``,
+    and in ``scores`` (rows x fitted depth) the projection scores along
+    its path: row i's entry at column k is the score of its path node at
+    depth k, for k below its leaf's depth (0.0 beyond). ``paths`` maps
+    each reached node to the internal nodes from the root to it."""
+
+    predictions: np.ndarray
+    leaves: np.ndarray
+    scores: np.ndarray
+    paths: dict
+
+
+def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
+    """Route the rows of ``X`` once and keep what ``predict_batch`` and
+    ``decision_paths`` read from the walk."""
+    X = np.asarray(X, dtype=np.float64)
+    predictions = np.zeros(X.shape[:1])
+    leaves = np.zeros(X.shape[:1], dtype=np.intp)
+    scores = np.zeros(X.shape[:1] + (model.fitted_depth,))
+    paths = {0: ()}
+    for slot, rows, _, _, node_scores in _walk(model, X):
+        node = model.nodes[slot]
+        if node_scores is None:
+            predictions[rows] += node.residual_mean
+            leaves[rows] = slot
+            continue
+        if model.residual_path:
+            predictions[rows] += node_scores
+        scores[rows, node.depth] = node_scores
+        paths[node.left] = paths[node.right] = paths[slot] + (slot,)
+    return Routing(predictions, leaves, scores, paths)
+
+
 def decision_paths(model: ObliqueTreeModel, X: np.ndarray) -> list:
     """Internal-node visit sequence of each row of ``X``: (node index,
     score, went_left) triples, root first, with the scores
     ``predict_batch`` sums."""
-    paths = []
-    for slot, rows, _, _, scores in _walk(model, X):
-        if slot == 0:  # the first visit: every row
-            paths = [[] for _ in rows]
-        if scores is not None:
-            threshold = model.nodes[slot].threshold
-            for i, s in zip(rows.tolist(), scores.tolist()):
-                paths[i].append((slot, s, s < threshold))
-    return paths
+    routing = route_batch(model, X)
+    return [[(slot, s, s < model.nodes[slot].threshold)
+             for slot, s in zip(routing.paths[leaf], row)]
+            for leaf, row in zip(routing.leaves.tolist(), routing.scores.tolist())]
 
 
 def decision_path(model: ObliqueTreeModel, x: np.ndarray) -> list:
@@ -978,10 +1010,19 @@ def _number(text: str, cast, where: str):
     return value
 
 
+def _flag(text: str, where: str) -> bool:
+    """A header flag: ``0`` or ``1``; otherwise a ValueError naming ``where``."""
+    value = _number(text, int, where)
+    if value not in (0, 1):
+        raise ValueError(f"{where}: expected 0 or 1, got {text!r}")
+    return bool(value)
+
+
 def model_from_text(text: str) -> ObliqueTreeModel:
     """Parse a ``model_to_text`` document. A malformed line, a wrong field
-    count or a non-finite number raises ValueError naming the field and,
-    on a node line, the node index."""
+    count, a non-finite number, a flag other than 0 or 1 or a negative
+    lambda raises ValueError naming the field and, on a node line, the
+    node index."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty model document")
@@ -1008,12 +1049,15 @@ def model_from_text(text: str) -> ObliqueTreeModel:
         min_samples_leaf=int(fields["min_samples_leaf"]),
         min_gain=_number(fields["min_gain"], float, "min_gain"),
     )
+    lam = _number(fields["lambda"], float, "lambda")
+    if lam < 0:
+        raise ValueError(f"lambda: negative value {fields['lambda']!r}")
     model = ObliqueTreeModel(
         input_dim=int(fields["input_dim"]),
-        lam=_number(fields["lambda"], float, "lambda"),
+        lam=lam,
         criteria=criteria,
-        concatenate=bool(int(fields["concatenate"])),
-        residual_path=bool(int(fields["residual_path"])),
+        concatenate=_flag(fields["concatenate"], "concatenate"),
+        residual_path=_flag(fields["residual_path"], "residual_path"),
         nodes=[],
     )
     n_nodes = int(fields["nodes"])

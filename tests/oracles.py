@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: elimination instead
 of Cholesky, quadratic rescans instead of prefix sums, enumeration instead
-of closed forms.
+of closed forms. The explain and stump references are the exceptions:
+they keep the per-row and per-node form of a batched library path, built
+on the parts it batches (the router, ``solve_ridge``).
 """
 
 import itertools
@@ -278,3 +280,85 @@ def csv_reference(source):
                 cell = line.split(",")[j].strip()
                 raise ValueError(f"row {no}, column {j + 1}: non-finite cell {cell!r}")
     return header, np.array(rows, dtype=np.float64).reshape(len(rows), ncols)
+
+
+def decision_paths_reference(model, X):
+    """Each row's (node, score, went_left) path, root first, appended one
+    row at a time as the router reaches each internal node."""
+    from fcodt.tree import _walk
+
+    paths = [[] for _ in range(np.asarray(X).shape[0])]
+    for slot, rows, _, _, scores in _walk(model, X):
+        if scores is not None:
+            threshold = model.nodes[slot].threshold
+            for i, s in zip(rows.tolist(), scores.tolist()):
+                paths[i].append((slot, s, s < threshold))
+    return paths
+
+
+def explain_reference(model, X):
+    """The text of ``fcodt predict --explain`` on the rows of ``X``:
+    ``predict_batch`` predictions and ``decision_paths_reference`` paths,
+    each number formatted and each row joined on its own."""
+    from fcodt.tree import predict_batch
+
+    lines = ["prediction,path_nodes,path_scores"]
+    if X.shape[0]:
+        for pred, path in zip(predict_batch(model, X), decision_paths_reference(model, X)):
+            nodes = ";".join(str(p[0]) for p in path)
+            scores = ";".join(format(p[1], ".17g") for p in path)
+            lines.append(f"{format(pred, '.17g')},{nodes},{scores}")
+    return "\n".join(lines) + "\n"
+
+
+def stumps_reference(model, data):
+    """The four stump diagnostics with one ``solve_ridge`` call per node
+    and per leaf and a replay of the data for each: (compute_stumps,
+    verify_orthogonal_expansion, path_linear_prediction,
+    linear_impurity_decrease) as (StumpBasis fields, float, array, dict)."""
+    from fcodt.linalg import predict_linear, solve_ridge
+    from fcodt.tree import ObliqueNode, replay_training_data
+
+    lam = max(model.lam, 1e-12)
+    y = data.targets
+    n = data.n
+    replay = replay_training_data(model, data)
+    fits = {}
+    for slot, view in replay.items():
+        fits[slot] = np.zeros(n)
+        fits[slot][view.indices] = predict_linear(
+            solve_ridge(view.features, y[view.indices], lam), view.features)
+
+    y_scale = max(1.0, float(np.sqrt(np.mean(y * y))))
+    columns, coefs, node_ids, dropped = [], [], [], []
+    decreases = {}
+    for slot, node in enumerate(model.nodes):
+        if not isinstance(node, ObliqueNode):
+            continue
+        parent_fit = fits[slot] if slot != 0 else 0.0
+        delta = fits[node.left] + fits[node.right] - parent_fit
+        norm = float(np.sqrt(np.mean(delta * delta)))
+        if norm <= 1e-7 * y_scale:
+            dropped.append(slot)
+        else:
+            psi = delta / norm
+            columns.append(psi)
+            coefs.append(float(np.mean(y * psi)))
+            node_ids.append(slot)
+        idx = replay[slot].indices
+        parent_pred = fits[slot][idx] if slot != 0 else 0.0
+        child_pred = (fits[node.left] + fits[node.right])[idx]
+        decreases[slot] = float((np.sum((y[idx] - parent_pred) ** 2)
+                                 - np.sum((y[idx] - child_pred) ** 2)) / n)
+    stumps = np.column_stack(columns) if columns else np.zeros((n, 0))
+    coefs = np.asarray(coefs)
+
+    path_pred = np.zeros(n)
+    for slot, view in replay_training_data(model, data).items():
+        if isinstance(model.nodes[slot], ObliqueNode):
+            path_pred[view.indices] += view.scores
+        else:
+            path_pred[view.indices] += predict_linear(
+                solve_ridge(view.features, view.incoming, lam), view.features)
+    gap = float(np.max(np.abs(path_pred - stumps @ coefs))) if n else 0.0
+    return (stumps, coefs, node_ids, dropped), gap, path_pred, decreases

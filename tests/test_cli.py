@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import fcodt
-from fcodt import datasets
+from fcodt import datasets, stumps
+from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.cli import load_run_config, main
-from fcodt.tree import model_from_text, predict_batch
+from fcodt.tree import SplitCriteria, fit_fc_odt, model_from_text, model_to_text, predict_batch
+from oracles import explain_reference
 
 
 def run(*argv):
@@ -171,6 +173,29 @@ class TestTrainPredict:
                 slot = node.left if float(score) < node.threshold else node.right
             assert total + model.nodes[slot].residual_mean == float(prediction)
 
+    @pytest.mark.parametrize("method, depth", [
+        (method, depth) for method in ("fc_odt", "ridge_odt", "cart") for depth in (1, 3, 6)
+    ] + [("root_leaf", 1)])
+    def test_explain_bytes_match_reference(self, tmp_path, sim_csv, method, depth):
+        train = datasets.read_table(str(sim_csv), "csv", "y", ["f"])
+        criteria = SplitCriteria(max_depth=depth)
+        model = {"fc_odt": lambda: fit_fc_odt(train, 0.01, criteria),
+                 "ridge_odt": lambda: fit_ridge_odt(train, 0.01, criteria),
+                 "cart": lambda: fit_cart(train, criteria),
+                 "root_leaf": lambda: fit_fc_odt(train.subset(range(5)), 0.01, criteria)}[method]()
+        assert model.fitted_depth == (0 if method == "root_leaf" else depth)
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(model_to_text(model))
+        lines = sim_csv.read_text().splitlines()
+        for rows in (len(lines) - 1, 1, 0):
+            table = tmp_path / f"table{rows}.csv"
+            table.write_text("\n".join(lines[:rows + 1]) + "\n")
+            out = tmp_path / f"explain{rows}.csv"
+            assert run("predict", "--model", str(model_path), "--data", str(table),
+                       "--target", "y", "--drop", "f", "--explain", "--out", str(out)) == 0
+            X = datasets.read_table(str(table), "csv", "y", ["f"]).features
+            assert out.read_text() == explain_reference(model, X)
+
     @pytest.mark.parametrize("with_target", [True, False])
     def test_predict_table_larger_than_a_block(self, tmp_path, sim_csv, with_target):
         model_path = tmp_path / "model.txt"
@@ -211,6 +236,19 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "split" in out and "leaf" in out
         assert "orthogonal-expansion deviation" in out
+
+    def test_stumps_replay_the_table_once(self, tmp_path, sim_csv, monkeypatch, capsys):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.01", "--max-depth", "3", "--out", str(model_path))
+        replays = []
+        replay = stumps.replay_training_data
+        monkeypatch.setattr(stumps, "replay_training_data",
+                            lambda *args: replays.append(args) or replay(*args))
+        assert run("inspect", "--model", str(model_path), "--stumps",
+                   "--data", str(sim_csv), "--target", "y", "--drop", "f") == 0
+        assert "orthogonal-expansion deviation" in capsys.readouterr().out
+        assert len(replays) == 1
 
     def test_gain_column_matches_model(self, tmp_path, sim_csv, capsys):
         from fcodt.tree import ObliqueNode, model_from_text

@@ -263,9 +263,11 @@ class TestCsvBlocks:
         (["1,2,3"], "row {no}: expected 4 cells, got 3"),
         # a short and a long line: the block's cell count is right
         (["1,2,3", "1,2,3,4,5"], "row {no}: expected 4 cells, got 3"),
+        # a long line, then a short one further down the same block
+        (["1,2,3,4,5", "1,2,3,4", "1,2,3"], "row {no}: expected 4 cells, got 5"),
         (["1,2,0x10,4"], "row {no}, column 3: non-numeric cell '0x10'"),
         (["1,2,3, -Infinity "], "row {no}, column 4: non-finite cell '-Infinity'"),
-    ], ids=["ragged", "short_then_long", "non_numeric", "non_finite"])
+    ], ids=["ragged", "short_then_long", "long_then_short", "non_numeric", "non_finite"])
     def test_error_in_last_block_located(self, bad, where):
         text = _random_table(np.random.default_rng(13), self.N_ROWS, 4)
         lines = text.split("\r\n")

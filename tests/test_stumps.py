@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from fcodt.datasets import Dataset
+from fcodt.datasets import Dataset, gen_sim1, gen_sim2
 from fcodt.stumps import (
     compute_stumps,
     linear_impurity_decrease,
     path_linear_prediction,
+    stump_diagnostics,
     stump_gram_matrix,
     verify_orthogonal_expansion,
 )
 from fcodt.tree import ObliqueNode, SplitCriteria, fit_fc_odt, replay_training_data
-from oracles import projection_fit
+from oracles import projection_fit, stumps_reference
 
 
 def random_dataset(n=200, d=5, seed=0):
@@ -172,3 +173,26 @@ class TestOrthogonalExpansion:
                 # difference is the non-constant part of the leaf fit
                 resid = view.incoming
                 assert np.std(gap) <= np.std(resid) + 1e-9
+
+
+class TestOneReplay:
+    """The diagnostics replay the data once and batch their ridge fits by
+    feature width; each result is bit for bit that of one ``solve_ridge``
+    per node and per leaf (``oracles.stumps_reference``)."""
+
+    @pytest.mark.parametrize("gen", [gen_sim1, gen_sim2])
+    @pytest.mark.parametrize("depth, lam", [(1, 0.0)] + [
+        (depth, lam) for depth in (1, 3, 6) for lam in (1e-4, 0.01, 1.0)])
+    def test_bitwise_equal_to_per_node_reference(self, gen, depth, lam):
+        ds = gen(300, 0.1, depth)
+        model = fit_fc_odt(ds, lam, SplitCriteria(max_depth=depth))
+        (stumps, coefs, node_ids, dropped), gap, path_pred, decreases = \
+            stumps_reference(model, ds)
+        one_pass, one_pass_gap = stump_diagnostics(model, ds)
+        for basis in (compute_stumps(model, ds), one_pass):
+            assert basis.stumps.tobytes() == stumps.tobytes()
+            assert basis.coefficients.tobytes() == coefs.tobytes()
+            assert (basis.node_ids, basis.dropped) == (node_ids, dropped)
+        assert verify_orthogonal_expansion(model, ds) == one_pass_gap == gap
+        assert path_linear_prediction(model, ds).tobytes() == path_pred.tobytes()
+        assert linear_impurity_decrease(model, ds) == decreases

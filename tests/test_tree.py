@@ -21,7 +21,7 @@ from fcodt.tree import (
     predict_batch,
     replay_training_data,
 )
-from oracles import best_threshold_bruteforce
+from oracles import best_threshold_bruteforce, decision_paths_reference
 
 
 def loose_criteria(**kw):
@@ -430,6 +430,25 @@ class TestLoaderFieldChecks:
         with pytest.raises(ValueError, match=match):
             model_from_text(edited(head, nodes, {(slot, field): value}))
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("concatenate", "7", "concatenate: expected 0 or 1, got '7'"),
+        ("residual_path", "5", "residual_path: expected 0 or 1, got '5'"),
+        ("residual_path", "-1", "residual_path: expected 0 or 1, got '-1'"),
+        ("concatenate", "yes", "concatenate: malformed number 'yes'"),
+        ("lambda", "-3", "lambda: negative value '-3'"),
+    ])
+    def test_rejects_out_of_range_header(self, key, value, match):
+        head, nodes = cart_model_text(1)
+        head = [f"{key} {value}" if line.split()[0] == key else line for line in head]
+        with pytest.raises(ValueError, match=match):
+            model_from_text("\n".join(head + nodes) + "\n")
+
+    @pytest.mark.parametrize("method", ["cart", "fc_odt", "ridge_odt"])
+    def test_fitted_header_round_trips(self, method):
+        text = model_to_text(FITS[method](make_dataset(n=120, d=3, seed=20, sigma=0.5),
+                                          SplitCriteria(max_depth=2)))
+        assert model_to_text(model_from_text(text)) == text
+
     @pytest.mark.parametrize("key", ["lambda", "min_gain"])
     def test_rejects_non_finite_header(self, key):
         head, nodes = cart_model_text(1)
@@ -449,6 +468,7 @@ ROUTERS = {
     "predict_batch": predict_batch,
     "decision_path": lambda model, X: decision_path(model, X[0]),
     "decision_paths": lambda model, X: tree.decision_paths(model, X),
+    "route_batch": tree.route_batch,
     "replay_training_data": lambda model, X: replay_training_data(
         model, SimpleNamespace(features=X, targets=np.zeros(X.shape[0]), n=X.shape[0])),
 }
@@ -488,7 +508,8 @@ class TestRouterConsistency:
         X = make_dataset(n=200, d=3, seed=19, sigma=0.5).features
         preds = predict_batch(model, X)
         paths = tree.decision_paths(model, X)
-        assert len(paths) == X.shape[0]
+        assert paths == decision_paths_reference(model, X)
+        assert tree.route_batch(model, X).predictions.tobytes() == preds.tobytes()
         for i, path in enumerate(paths):
             slot, total = 0, 0.0
             for node_id, score, went_left in path:
