@@ -1,14 +1,14 @@
-"""Comparison learners: the oblique tree's growth loop with other split
-searches (``tree._split_nodes``). ``ridge_odt`` keeps the ridge
-projections but neither concatenates nor fits residuals; ``cart`` runs
-the axis-parallel search."""
+"""The comparison learners as public functions. Each is one call of
+``tree.fit_method``: the growth loop with the settings ``tree.METHODS``
+names. ``ridge_odt`` keeps the ridge projections but neither
+concatenates nor fits residuals; ``cart`` runs the axis-parallel search."""
 
 from __future__ import annotations
 
 from enum import Enum
 
 from .datasets import Dataset
-from .tree import ObliqueTreeModel, SplitCriteria, _grow, _grow_one, fit_fc_odt, fit_fc_odt_many
+from .tree import ObliqueTreeModel, SplitCriteria, fit_method
 
 
 class BaselineKind(Enum):
@@ -20,14 +20,7 @@ def fit_ridge_odt(data: Dataset, lam: float,
                   criteria: SplitCriteria | None = None) -> ObliqueTreeModel:
     """Oblique tree without feature concatenation or residual fitting:
     ridge projections choose split directions, leaves store plain means."""
-    return fit_fc_odt(data, lam, criteria, concatenate=False, residual_path=False)
-
-
-def fit_ridge_odt_many(jobs, criteria: SplitCriteria | None = None) -> list:
-    """``fit_ridge_odt`` for each (data, lam) in the iterable ``jobs``,
-    grown together (see ``fit_fc_odt_many``); each entry is the model or
-    the exception its fit raised."""
-    return fit_fc_odt_many(jobs, criteria, concatenate=False, residual_path=False)
+    return fit_method("ridge_odt", data, lam, criteria)
 
 
 def fit_cart(data: Dataset, criteria: SplitCriteria | None = None) -> ObliqueTreeModel:
@@ -36,20 +29,12 @@ def fit_cart(data: Dataset, criteria: SplitCriteria | None = None) -> ObliqueTre
     break toward the lowest feature index, then the smallest threshold.
     Stored projections are standard basis vectors with zero bias, so the
     model predicts like any oblique tree; it records lambda 0."""
-    return _grow_one(data, 0.0, criteria, False, "axis")
-
-
-def fit_cart_many(jobs, criteria: SplitCriteria | None = None) -> list:
-    """``fit_cart`` for each (data, lam) in the iterable ``jobs`` (lam is
-    not used), grown together; each entry is the model or the exception
-    its fit raised."""
-    return _grow(((data, 0.0) for data, _ in jobs), criteria, False, "axis")
+    return fit_method("cart", data, 0.0, criteria)
 
 
 def fit_baseline(kind: BaselineKind, data: Dataset, lam: float,
                  criteria: SplitCriteria | None = None) -> ObliqueTreeModel:
-    if kind is BaselineKind.RIDGE_ODT:
-        return fit_ridge_odt(data, lam, criteria)
-    if kind is BaselineKind.CART:
-        return fit_cart(data, criteria)
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    """The ``kind`` baseline (lam is not used by ``cart``)."""
+    if not isinstance(kind, BaselineKind):
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    return fit_method(kind.value, data, lam, criteria)

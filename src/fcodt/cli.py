@@ -44,6 +44,7 @@ from .evaluation import (
 )
 from .stumps import stump_diagnostics, stump_gram_matrix
 from .tree import (
+    METHODS,
     ObliqueNode,
     SplitCriteria,
     model_from_text,
@@ -324,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and feature concatenation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_table_flags(p, with_target_default=True):
-        p.add_argument("--data", required=True, help="input table path")
+    def add_table_flags(p, with_target_default=True, data_required=True):
+        p.add_argument("--data", required=data_required, help="input table path")
         p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
         p.add_argument("--target", default="y" if with_target_default else None,
                        help="target column name or index (csv)")
@@ -334,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a tree and save it")
     add_table_flags(p)
-    p.add_argument("--method", choices=["fc_odt", "ridge_odt", "cart"],
-                   default="fc_odt")
+    p.add_argument("--method", choices=list(METHODS), default="fc_odt")
     p.add_argument("--lambda", dest="lam", default="0.01",
                    help="ridge strength, or 'cv' for grid-searched")
     p.add_argument("--grid", default=",".join(format(v, "g") for v in DEFAULT_LAMBDA_GRID))
@@ -385,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--stumps", action="store_true",
                    help="run the orthonormal-stump diagnostics")
-    p.add_argument("--data", default=None, help="training table (for --stumps)")
-    p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-    p.add_argument("--target", default="y")
-    p.add_argument("--drop", nargs="*", default=[])
+    add_table_flags(p, data_required=False)
     p.set_defaults(func=cmd_inspect)
 
     return parser

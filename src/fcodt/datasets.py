@@ -246,13 +246,10 @@ def _convert_block(block, rows: np.ndarray) -> bool:
     strings are freed when the call returns, before the next block is
     split."""
     ncols = rows.shape[1]
-    # a "\n" cell joins the lines: every line has ncols cells when the
-    # count matches and the cells at ncols + 1 strides are all "\n". A
-    # line's own "\n" cell can pass that check but never converts.
+    # a "\n" cell joins the lines. When a ragged line keeps the count
+    # right, a joining "\n" is left among the cells, which never converts.
     cells = ",\n,".join(block).split(",")
-    sentinels = cells[ncols::ncols + 1]
-    if (len(cells) != len(block) * (ncols + 1) - 1
-            or sentinels.count("\n") != len(sentinels)):
+    if len(cells) != len(block) * (ncols + 1) - 1:
         return False
     del cells[ncols::ncols + 1]
     try:

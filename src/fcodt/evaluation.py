@@ -6,7 +6,9 @@ as (key, function, args): the key is the ``key()`` of the record the cell
 returns, and its seed, derived there from (seed_base, dataset, method,
 parameter, repeat) through sha256, makes cells independent,
 order-insensitive, and reproducible. One runner, ``iter_cells``, runs them
-in this process or a process pool. Wall time is recorded per cell but kept
+in this process or a process pool. A cell fits its method by name through
+``tree.fit_method(_many)``; ``tree.METHODS`` says which methods exist and
+which of them take a tuned lambda. Wall time is recorded per cell but kept
 out of the canonical results rows so identical configurations emit
 byte-identical results CSVs.
 """
@@ -22,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .baselines import fit_cart_many, fit_ridge_odt_many
 from .datasets import (
     Dataset,
     gen_sim1,
@@ -32,7 +33,13 @@ from .datasets import (
     minmax_scale,
     train_test_split,
 )
-from .tree import ObliqueTreeModel, SplitCriteria, fit_fc_odt_many, predict_batch
+from .tree import (
+    METHODS,
+    SplitCriteria,
+    fit_method,
+    fit_method_many,
+    predict_batch,
+)
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_DEPTHS = (2, 3, 4, 5, 6)
@@ -41,36 +48,9 @@ DEFAULT_SAMPLE_SIZES = (50, 100, 200, 500, 1000, 2000)
 SIM_GENERATORS = {"sim1": gen_sim1, "sim2": gen_sim2}
 
 
-def fit_method(method: str, data: Dataset, lam: float,
-               criteria: SplitCriteria) -> ObliqueTreeModel:
-    """Fit one ``method`` tree (``fit_method_many`` on one job); raises
-    the exception its fit raised."""
-    model = fit_method_many(method, [(data, lam)], criteria)[0]
-    if isinstance(model, Exception):
-        raise model
-    return model
-
-
-def fit_method_many(method: str, jobs, criteria: SplitCriteria) -> list:
-    """``fit_method`` for each (data, lam) in the iterable ``jobs``, the
-    trees grown together (see ``fit_fc_odt_many``); each entry is the
-    model or the exception its fit raised."""
-    if method == "fc_odt":
-        return fit_fc_odt_many(jobs, criteria)
-    if method == "ridge_odt":
-        return fit_ridge_odt_many(jobs, criteria)
-    if method == "cart":
-        return fit_cart_many(jobs, criteria)
-    raise ValueError(f"unknown method {method!r}")
-
-
 # training rows of the cross-validation fits grown together: many small
 # fits share each batch, while large ones keep their copies small
 _CV_ROWS = 3200
-
-
-def method_uses_lambda(method: str) -> bool:
-    return method in ("fc_odt", "ridge_odt")
 
 
 def mse(pred, target) -> float:
@@ -131,6 +111,9 @@ class ExperimentConfig:
             raise ValueError("lambda grid must be nonempty")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        for method in self.methods:
+            if not isinstance(method, str) or method not in METHODS:
+                raise ValueError(f"unknown method {method!r}")
 
     def criteria(self, max_depth: int | None = None) -> SplitCriteria:
         return SplitCriteria(
@@ -164,7 +147,11 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
     Ties break toward the smaller lambda. Fit failures are recorded in the
     CV table (that cell scores +inf) without aborting the search. Returns
     (best_lambda, table) where the table has one row per (lambda, fold).
+    A method that takes no lambda (``tree.METHODS``) is grown at 0, so it
+    returns (0.0, []) at once, fitting nothing.
     """
+    if method in METHODS and not METHODS[method][2]:  # takes no lambda
+        return 0.0, []
     grid = list(grid)
     if not grid:
         raise ValueError("lambda grid must be nonempty")
@@ -207,11 +194,8 @@ def _tuned_fit(method: str, train: Dataset, config: ExperimentConfig,
                criteria: SplitCriteria, seed: int):
     """Fit with per-cell lambda tuning; wall time covers tuning + fit."""
     t0 = time.perf_counter()
-    if method_uses_lambda(method):
-        lam, _ = grid_search_lambda(train, method, criteria,
-                                    config.lambda_grid, config.folds, seed)
-    else:
-        lam = 0.0
+    lam, _ = grid_search_lambda(train, method, criteria,
+                                config.lambda_grid, config.folds, seed)
     model = fit_method(method, train, lam, criteria)
     return model, lam, time.perf_counter() - t0
 

@@ -91,7 +91,8 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
     unpenalized (b fixed to 0 when fit_intercept is off).
 
     Solved through the regularized normal equations on centered data; a
-    rank check guards the factorization when lam is 0.
+    rank check guards the factorization when lam is 0. ``lam`` must be
+    finite and nonnegative.
     """
     X = _as_matrix(X)
     y = _as_vector(y)
@@ -100,8 +101,6 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
         raise ValueError(f"dimension mismatch: X has {n} rows, y has length {y.shape[0]}")
     if n < 1:
         raise ValueError("need at least one sample")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
 
     return solve_ridge_many([(X, y)], [lam], fit_intercept=fit_intercept)[0]
 
@@ -112,8 +111,9 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
     factorisation. Each result depends only on its own problem."""
     d = problems[0][0].shape[1]
     lams = np.asarray(lams, dtype=np.float64)
-    if np.any(lams < 0):
-        raise ValueError("lambda must be nonnegative")
+    bad = ~((lams >= 0) & (lams < np.inf))  # negative, NaN or inf
+    if bad.any():
+        raise ValueError(f"lambda must be finite and nonnegative, got {lams[bad][0]}")
     grams = np.empty((len(problems), d, d))
     rhs = np.empty((len(problems), d, 1))
     means = []

@@ -32,6 +32,8 @@ threshold searches run as batches. Only the split search differs
 (``_split_nodes``): "mean" (ridge projection, ``best_threshold``),
 "residual" (ridge projection, ``best_residual_threshold``) or "axis"
 (the best single column by ``best_threshold``, the ``cart`` baseline).
+``METHODS`` names each learner of the comparison by its settings of that
+loop, and ``fit_method(_many)`` fits one by name.
 Every prediction goes through one router (``_walk``), which passes each
 node's scores down the path: ``predict_batch``, ``predict``,
 ``route_batch`` (and ``decision_path(s)`` through it) and
@@ -579,8 +581,8 @@ def best_residual_threshold(projections: np.ndarray, features: np.ndarray,
     _check_search_inputs(s, r, n_total)
     if X.ndim != 2 or X.shape[0] != s.shape[0]:
         raise ValueError("features must be a matrix with one row per projection")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     return _residual_cuts([s], [X], [r], np.array([float(lam)]),
                           np.array([n_total]), criteria)[0]
 
@@ -666,8 +668,15 @@ def _check_fit(data: Dataset, lam: float):
         raise ValueError("dataset is empty")
     if data.dim < 1:
         raise ValueError("dataset has no features")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+
+
+def _first(models: list) -> ObliqueTreeModel:
+    """The one tree of a ``_grow`` call; raises its failure."""
+    if isinstance(models[0], Exception):
+        raise models[0]
+    return models[0]
 
 
 def fit_fc_odt(data: Dataset, lam: float, criteria: SplitCriteria | None = None,
@@ -686,24 +695,38 @@ def fit_fc_odt(data: Dataset, lam: float, criteria: SplitCriteria | None = None,
     Ineligible or unsplittable nodes become leaves holding the mean of
     their incoming targets.
     """
-    return _grow_one(data, lam, criteria, concatenate,
-                     "residual" if residual_path else "mean")
+    return _first(_grow([(data, lam)], criteria, concatenate,
+                        "residual" if residual_path else "mean"))
 
 
-def fit_fc_odt_many(jobs, criteria: SplitCriteria | None = None, *,
-                    concatenate: bool = True, residual_path: bool = True) -> list:
-    """``fit_fc_odt`` for each (data, lam) in the iterable ``jobs``; each
-    entry is the model, or the exception its fit raised (see ``_grow``)."""
-    return _grow(jobs, criteria, concatenate, "residual" if residual_path else "mean")
+# The learners of the paper's comparison, each a setting of ``_grow``:
+# name -> (concatenate, split search, takes a lambda). A method that takes
+# no lambda is grown at 0.
+METHODS = {
+    "fc_odt": (True, "residual", True),
+    "ridge_odt": (False, "mean", True),
+    "cart": (False, "axis", False),
+}
 
 
-def _grow_one(data: Dataset, lam: float, criteria: SplitCriteria | None,
-              concatenate: bool, finder: str) -> ObliqueTreeModel:
-    """The tree ``_grow`` grows for one (data, lam); raises its failure."""
-    model = _grow([(data, lam)], criteria, concatenate, finder)[0]
-    if isinstance(model, Exception):
-        raise model
-    return model
+def fit_method_many(method: str, jobs, criteria: SplitCriteria | None = None) -> list:
+    """A ``method`` tree (see ``METHODS``) for each (data, lam) in the
+    iterable ``jobs``, all grown together by ``_grow``; each entry is the
+    model or the exception its fit raised. Raises ValueError for a name
+    not in ``METHODS``."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    concatenate, finder, takes_lambda = METHODS[method]
+    if not takes_lambda:
+        jobs = ((data, 0.0) for data, _ in jobs)
+    return _grow(jobs, criteria, concatenate, finder)
+
+
+def fit_method(method: str, data: Dataset, lam: float,
+               criteria: SplitCriteria | None = None) -> ObliqueTreeModel:
+    """One ``method`` tree (``fit_method_many`` on one job); raises the
+    exception its fit raised."""
+    return _first(fit_method_many(method, [(data, lam)], criteria))
 
 
 def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) -> list:

@@ -87,6 +87,24 @@ class TestTrainPredict:
         assert "chosen lambda:" in out
         assert "training mse:" in out
 
+    def test_cart_cv_fits_nothing(self, tmp_path, sim_csv, capsys):
+        # cart takes no lambda: no CV table, and the model of any fixed lambda
+        train = ("train", "--data", str(sim_csv), "--drop", "f", "--method", "cart",
+                 "--max-depth", "3")
+        assert run(*train, "--lambda", "cv", "--out", str(tmp_path / "cv.txt")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["lambda,fold,val_mse", "chosen lambda: 0"]
+        assert run(*train, "--lambda", "0.5", "--out", str(tmp_path / "fixed.txt")) == 0
+        assert (tmp_path / "cv.txt").read_bytes() == (tmp_path / "fixed.txt").read_bytes()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, tmp_path, sim_csv, capsys, lam):
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--drop", "f", "--lambda", lam,
+                   "--out", str(model_path)) == 1
+        assert f"lambda must be finite and nonnegative, got {lam}" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_missing_file_no_partial_output(self, tmp_path):
         model_path = tmp_path / "model.txt"
         assert run("train", "--data", str(tmp_path / "nope.csv"),
@@ -308,6 +326,15 @@ class TestSweepCommand:
         out_dir = tmp_path / "out"
         assert run("sweep", "--config", str(cfg), "--kind", "depth",
                    "--out", str(out_dir)) == 1
+
+
+    def test_unknown_method_refused_before_any_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", methods=["fc_odt", "nope"])
+        out_dir = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--kind", "depth",
+                   "--out", str(out_dir)) == 1
+        assert "unknown method 'nope'" in capsys.readouterr().err
+        assert not out_dir.exists()  # no journal
 
 
 class TestBenchCommand:

@@ -146,6 +146,24 @@ class TestGridSearch:
         assert all(row["error"].startswith("SingularSystemError") for row in failed)
         assert all(np.isfinite(row["mse"]) for row in table if row["lambda"] == 0.1)
 
+    def test_non_finite_lambda_recorded_not_raised(self):
+        ds = tiny_dataset(n=200, seed=3)
+        lam, table = grid_search_lambda(ds, "fc_odt", SplitCriteria(max_depth=2),
+                                        [0.1, np.inf], 3, 0)
+        assert lam == 0.1
+        failed = [row for row in table if row["lambda"] == np.inf]
+        assert len(failed) == 3
+        assert all(row["mse"] == np.inf for row in failed)
+        assert all("finite and nonnegative" in row["error"] for row in failed)
+
+    def test_method_without_lambda_fits_nothing(self, monkeypatch):
+        def no_fits(*args):
+            raise AssertionError("cart grew a CV tree")
+        monkeypatch.setattr(evaluation, "fit_method_many", no_fits)
+        # returned before the grid and fold checks
+        assert grid_search_lambda(tiny_dataset(), "cart", SplitCriteria(max_depth=2),
+                                  [], 1, 0) == (0.0, [])
+
 
 class TestFitMethodMany:
     def test_cart_records_failures_and_lambda_zero(self):
@@ -157,6 +175,11 @@ class TestFitMethodMany:
         assert not isinstance(models[0], Exception)
         assert models[0].lam == 0.0
         assert isinstance(models[1], ValueError)
+
+
+def test_config_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        ExperimentConfig(methods=("fc_odt", "nope"))
 
 
 def fast_config(**kw):

@@ -7,6 +7,7 @@ from fcodt.linalg import (
     SingularSystemError,
     predict_linear,
     solve_ridge,
+    solve_ridge_many,
     spd_solve,
 )
 from oracles import ridge_oracle, ridge_oracle_intercept
@@ -125,6 +126,14 @@ class TestSolveRidge:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             solve_ridge(np.eye(2), np.ones(2), -1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        # a NaN penalty would give NaN weights, an infinite one zero weights
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam}"):
+            solve_ridge(np.eye(2), np.ones(2), lam)
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam}"):
+            solve_ridge_many([(np.eye(2), np.ones(2))] * 2, [0.1, lam])
 
     def test_shrinkage_monotone_in_lambda(self):
         rng = np.random.default_rng(4)

@@ -9,7 +9,7 @@ residuals. The oracle refits both children at every candidate with lstsq.
 import numpy as np
 import pytest
 
-from fcodt.baselines import fit_ridge_odt, fit_ridge_odt_many
+from fcodt.baselines import fit_ridge_odt
 from fcodt.datasets import Dataset
 from fcodt.linalg import SingularSystemError
 from fcodt.stumps import linear_impurity_decrease
@@ -18,7 +18,7 @@ from fcodt.tree import (
     SplitCriteria,
     best_residual_threshold,
     fit_fc_odt,
-    fit_fc_odt_many,
+    fit_method_many,
     model_to_text,
     replay_training_data,
 )
@@ -132,24 +132,24 @@ class TestGrowingTogether:
         datasets = [wavy_dataset(50 + i, 120 + 40 * i, 3) for i in range(4)]
         lams = [1e-3, 0.1, 10.0, 1.0]
         crit = SplitCriteria(max_depth=4, min_samples_split=12, min_samples_leaf=5)
-        together = fit_fc_odt_many(zip(datasets, lams), crit)
+        together = fit_method_many("fc_odt", zip(datasets, lams), crit)
         alone = [fit_fc_odt(ds, lam, crit) for ds, lam in zip(datasets, lams)]
         assert [model_to_text(m) for m in together] == [model_to_text(m) for m in alone]
-        together = fit_ridge_odt_many(zip(datasets, lams), crit)
+        together = fit_method_many("ridge_odt", zip(datasets, lams), crit)
         alone = [fit_ridge_odt(ds, lam, crit) for ds, lam in zip(datasets, lams)]
         assert [model_to_text(m) for m in together] == [model_to_text(m) for m in alone]
 
     def test_trees_of_different_widths(self):
         datasets = [wavy_dataset(70 + d, 150, d) for d in (1, 4, 2, 4)]
         crit = SplitCriteria(max_depth=3, min_samples_split=12, min_samples_leaf=5)
-        together = fit_fc_odt_many([(ds, 0.1) for ds in datasets], crit)
+        together = fit_method_many("fc_odt", [(ds, 0.1) for ds in datasets], crit)
         alone = [fit_fc_odt(ds, 0.1, crit) for ds in datasets]
         assert [model_to_text(m) for m in together] == [model_to_text(m) for m in alone]
 
     def test_failure_stays_with_its_tree(self):
         good = wavy_dataset(5, 100, 2)
         bad = Dataset(np.zeros((0, 2)), np.zeros(0))
-        out = fit_fc_odt_many([(good, 0.1), (bad, 0.1), (good, -1.0)],
+        out = fit_method_many("fc_odt", [(good, 0.1), (bad, 0.1), (good, -1.0)],
                               SplitCriteria(max_depth=2))
         assert model_to_text(out[0]) == model_to_text(
             fit_fc_odt(good, 0.1, SplitCriteria(max_depth=2)))
@@ -162,10 +162,10 @@ class TestGrowingTogether:
         # fit_fc_odt raises it
         ds = wavy_dataset(8, 150, 2)
         crit = SplitCriteria(max_depth=2)
-        out = fit_fc_odt_many([(ds, 0.0)], crit)
+        out = fit_method_many("fc_odt", [(ds, 0.0)], crit)
         assert isinstance(out[0], SingularSystemError)
         with pytest.raises(SingularSystemError):
             fit_fc_odt(ds, 0.0, crit)
-        out = fit_fc_odt_many([(ds, 0.0), (ds, 0.1)], crit)
+        out = fit_method_many("fc_odt", [(ds, 0.0), (ds, 0.1)], crit)
         assert isinstance(out[0], SingularSystemError)
         assert model_to_text(out[1]) == model_to_text(fit_fc_odt(ds, 0.1, crit))

@@ -222,6 +222,38 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             fit_fc_odt(Dataset(np.zeros((0, 2)), np.zeros(0)), 0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # not a root-only tree that records the value
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam}"):
+            fit_fc_odt(make_dataset(n=60, d=3, seed=8), lam, loose_criteria())
+
+
+class TestMethods:
+    def test_unknown_method_rejected(self):
+        ds = make_dataset(n=60, d=3, seed=8)
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            tree.fit_method("nope", ds, 0.1)
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            tree.fit_method_many("nope", [(ds, 0.1)])
+
+    def test_methods_match_public_learners(self):
+        ds = make_dataset(n=150, d=3, seed=4, sigma=0.3)
+        crit = SplitCriteria(max_depth=3)
+        public = {"fc_odt": fit_fc_odt(ds, 0.5, crit),
+                  "ridge_odt": fit_ridge_odt(ds, 0.5, crit),
+                  "cart": fit_cart(ds, crit)}
+        assert list(tree.METHODS) == list(public)
+        for method, model in public.items():
+            assert model_to_text(tree.fit_method(method, ds, 0.5, crit)) == model_to_text(model)
+
+    @pytest.mark.parametrize("lam", [0.5, np.nan])
+    def test_method_without_lambda_grown_at_zero(self, lam):
+        ds = make_dataset(n=150, d=3, seed=4, sigma=0.3)
+        model = tree.fit_method("cart", ds, lam, SplitCriteria(max_depth=2))
+        assert model.lam == 0.0
+        assert model_to_text(model) == model_to_text(fit_cart(ds, SplitCriteria(max_depth=2)))
+
 
 class TestTreeInvariants:
     @pytest.mark.parametrize("seed", range(5))
