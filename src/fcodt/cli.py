@@ -31,6 +31,7 @@ from .datasets import (
 )
 from .evaluation import (
     DEFAULT_LAMBDA_GRID,
+    RECORD_COLUMNS,
     ExperimentConfig,
     ExperimentRecord,
     aggregate_benchmark,
@@ -74,9 +75,11 @@ def atomic_write(path: str, text: str):
 
 def load_run_config(path: str):
     """Parse a declarative run-config document; unknown keys are rejected
-    and every field falls back to its documented default."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    and every field falls back to its documented default. Returns (config,
+    manifest path or None, sha256 of the document's bytes)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = json.loads(data.decode("utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("run config must be a JSON object")
     unknown = set(raw) - CONFIG_KEYS
@@ -88,12 +91,7 @@ def load_run_config(path: str):
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    return ExperimentConfig(**kwargs), manifest_path
-
-
-def config_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return ExperimentConfig(**kwargs), manifest_path, hashlib.sha256(data).hexdigest()
 
 
 def _criteria_from_args(args) -> SplitCriteria:
@@ -177,21 +175,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-JOURNAL_COLUMNS = "method,dataset,seed,param_name,param_value,metric,value,wall_time"
+def _run_journaled(cells, workers: int, out: str, kind: str, stamp: str) -> list:
+    """The records of the (key, function, args) ``cells``, sorted by key,
+    also written to ``results.csv`` and ``timings.csv`` in ``out``.
 
-
-def _run_journaled(cells, workers: int, journal: str, stamp: str) -> list:
-    """The records of the (key, function, args) ``cells``, sorted by key.
-
-    Records already in ``journal`` are read back; the other cells run
-    through ``evaluation.iter_cells`` and this process appends each record
-    as it returns, so an interrupted run resumes without recomputing. The
-    journal starts with ``stamp``, the ``# ``-prefixed lines naming what
-    the records depend on (the run config's sha256, then any real data):
-    a journal with another stamp is refused, untouched. A last line
-    without its newline (a write cut short) is dropped and its cell
-    rerun; any other malformed line is refused."""
-    header = f"{stamp}{JOURNAL_COLUMNS}\n"
+    Records already in the journal ``<out>/<kind>_journal.csv`` are read
+    back; the other cells run through ``evaluation.iter_cells`` and this
+    process appends each record as it returns, so an interrupted run
+    resumes without recomputing. The journal starts with ``stamp``, the
+    ``# ``-prefixed lines naming what the records depend on (the run
+    config's sha256, then any real data): a journal with another stamp is
+    refused, untouched. A last line without its newline (a write cut
+    short) is dropped and its cell rerun; any other malformed line is
+    refused."""
+    journal = os.path.join(out, f"{kind}_journal.csv")
+    header = f"{stamp}{','.join(RECORD_COLUMNS)}\n"
     done = {}
     if os.path.exists(journal):
         with open(journal, "rb") as fh:
@@ -207,9 +205,7 @@ def _run_journaled(cells, workers: int, journal: str, stamp: str) -> list:
         skip = header.count("\n")
         for number, line in enumerate(complete.split("\n")[skip:-1], start=skip + 1):
             try:
-                method, dataset, seed, name, param, metric, value, wall = line.split(",")
-                record = ExperimentRecord(method, dataset, int(seed), name, float(param),
-                                          metric, float(value), float(wall))
+                record = ExperimentRecord.from_cells(line.split(","))
             except ValueError:
                 raise ValueError(f"journal {journal} line {number}: malformed record "
                                  f"{line!r}") from None
@@ -217,28 +213,25 @@ def _run_journaled(cells, workers: int, journal: str, stamp: str) -> list:
     pending = [cell for cell in cells if cell[0] not in done]
     print(f"{len(cells)} cells, {len(cells) - len(pending)} already done, "
           f"{len(pending)} to run")
-    os.makedirs(os.path.dirname(journal), exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     with open(journal, "a", encoding="utf-8") as fh:
         if fh.tell() == 0:
             fh.write(header)
             fh.flush()
         for r in evaluation.iter_cells(pending, workers):
-            fh.write(",".join([r.method, r.dataset, str(r.seed), r.param_name,
-                               format(r.param_value, ".17g"), r.metric,
-                               format(r.value, ".17g"), format(r.wall_time, ".17g")]) + "\n")
+            fh.write(",".join(r.cells()) + "\n")
             fh.flush()
             done[r.key()] = r
-    return [done[key] for key in sorted(key for key, _, _ in cells)]
+    records = [done[key] for key in sorted(key for key, _, _ in cells)]
+    atomic_write(os.path.join(out, "results.csv"), records_to_csv(records))
+    atomic_write(os.path.join(out, "timings.csv"), timings_to_csv(records))
+    return records
 
 
 def cmd_sweep(args) -> int:
-    config, _ = load_run_config(args.config)
-    config_sha = config_hash(args.config)
+    config, _, config_sha = load_run_config(args.config)
     records = _run_journaled(evaluation.sweep_cells(config, args.kind), config.workers,
-                             os.path.join(args.out, f"{args.kind}_journal.csv"),
-                             f"# config_sha256 {config_sha}\n")
-    atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
-    atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
+                             args.out, args.kind, f"# config_sha256 {config_sha}\n")
     stamp = {"config_sha256": config_sha, "kind": args.kind,
              "seed_base": config.seed_base, "cells": len(records)}
     atomic_write(os.path.join(args.out, "stamp.json"),
@@ -248,12 +241,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config, manifest_path = load_run_config(args.config)
+    config, manifest_path, config_sha = load_run_config(args.config)
     manifest_path = args.manifest or os.environ.get(MANIFEST_ENV) or manifest_path
     manifest = load_manifest(manifest_path) if manifest_path else None
     base_dir = os.path.dirname(os.path.abspath(manifest_path)) if manifest_path else "."
+    reference = load_reference_scores(args.reference) if args.reference else None
 
-    config_sha = config_hash(args.config)
     cells, skipped = evaluation.bench_cells(config, manifest, base_dir)
     stamp = f"# config_sha256 {config_sha}\n"
     missing = {entry["dataset"] for entry in skipped}
@@ -263,12 +256,8 @@ def cmd_bench(args) -> int:
             entry_sha = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
             file_sha = sha256_file(manifest_file(entry, base_dir))
             stamp += f"# dataset {name} entry_sha256 {entry_sha} file_sha256 {file_sha}\n"
-    records = _run_journaled(cells, config.workers,
-                             os.path.join(args.out, "bench_journal.csv"), stamp)
-    atomic_write(os.path.join(args.out, "results.csv"), records_to_csv(records))
-    atomic_write(os.path.join(args.out, "timings.csv"), timings_to_csv(records))
+    records = _run_journaled(cells, config.workers, args.out, "bench", stamp)
 
-    reference = load_reference_scores(args.reference) if args.reference else None
     table, ranks, per_repeat = aggregate_benchmark(records, reference)
     atomic_write(os.path.join(args.out, "aggregate.csv"),
                  aggregate_to_csv(table, ranks))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,8 @@ from .datasets import (
 from .tree import (
     METHODS,
     SplitCriteria,
+    _fmt,
+    _number,
     fit_method,
     fit_method_many,
     predict_batch,
@@ -109,6 +112,11 @@ class ExperimentConfig:
             raise ValueError("repeats must be at least 1")
         if not self.lambda_grid:
             raise ValueError("lambda grid must be nonempty")
+        for lam in self.lambda_grid:
+            if (not isinstance(lam, numbers.Real) or isinstance(lam, bool)
+                    or not math.isfinite(lam) or lam < 0):
+                raise ValueError(f"lambda grid entry {lam!r} is not a finite "
+                                 f"nonnegative number")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method in self.methods:
@@ -139,6 +147,27 @@ class ExperimentRecord:
         return (self.method, self.dataset, self.param_name,
                 self.param_value, self.seed, self.metric)
 
+    def cells(self) -> list:
+        """The text cells of ``RECORD_COLUMNS``, floats at 17 significant
+        digits, so that ``from_cells`` reads them back exactly."""
+        values = (getattr(self, name) for name in RECORD_COLUMNS)
+        return [_fmt(v) if cast is float else str(v) for v, cast in zip(values, _RECORD_CASTS)]
+
+    @classmethod
+    def from_cells(cls, cells) -> ExperimentRecord:
+        """The record whose ``cells()`` are ``cells``; ValueError on a
+        wrong number of cells or a malformed number."""
+        if len(cells) != len(RECORD_COLUMNS):
+            raise ValueError(f"expected {len(RECORD_COLUMNS)} cells, got {len(cells)}")
+        return cls(*(cast(cell) for cast, cell in zip(_RECORD_CASTS, cells)))
+
+
+# the columns of a record's text form (journal lines), and the type of each;
+# results.csv holds all but wall_time
+RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
+_RECORD_CASTS = tuple({"str": str, "int": int, "float": float}[f.type]
+                      for f in fields(ExperimentRecord))
+
 
 def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
                        grid, folds: int, seed: int):
@@ -155,6 +184,8 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
     grid = list(grid)
     if not grid:
         raise ValueError("lambda grid must be nonempty")
+    if any(math.isnan(lam) for lam in grid):
+        raise ValueError("lambda grid entry nan cannot be ordered")
     if folds < 2:
         raise ValueError("need at least 2 folds")
     assignments = kfold_indices(data.n, folds, seed)
@@ -387,32 +418,25 @@ def rank_sum_test(sample_a, sample_b):
     return w, min(1.0, p)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-RESULTS_COLUMNS = ("method", "dataset", "seed", "param_name", "param_value",
-                   "metric", "value")
+def _csv(header, rows) -> str:
+    """A CSV document: the ``header`` cells, then each row's cells."""
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
 
 
 def records_to_csv(records) -> str:
-    """Canonical long-format results CSV; rows sorted by cell key, floats
-    at 17 significant digits. Wall times live in the separate timing CSV
-    so this document is byte-identical across reruns."""
-    lines = [",".join(RESULTS_COLUMNS)]
-    for r in sorted(records, key=lambda r: r.key()):
-        lines.append(",".join([r.method, r.dataset, str(r.seed), r.param_name,
-                               _fmt(r.param_value), r.metric, _fmt(r.value)]))
-    return "\n".join(lines) + "\n"
+    """Canonical long-format results CSV: every record column but
+    ``wall_time``, rows sorted by cell key. Wall times live in the
+    separate timing CSV so this document is byte-identical across
+    reruns."""
+    return _csv(RECORD_COLUMNS[:-1],
+                (r.cells()[:-1] for r in sorted(records, key=ExperimentRecord.key)))
 
 
 def timings_to_csv(records) -> str:
-    lines = [",".join(("method", "dataset", "seed", "param_name",
-                       "param_value", "wall_time_s"))]
-    for r in sorted(records, key=lambda r: r.key()):
-        lines.append(",".join([r.method, r.dataset, str(r.seed), r.param_name,
-                               _fmt(r.param_value), _fmt(r.wall_time)]))
-    return "\n".join(lines) + "\n"
+    """Wall time per cell, keyed by the first five record columns."""
+    rows = (r.cells() for r in sorted(records, key=ExperimentRecord.key))
+    return _csv((*RECORD_COLUMNS[:5], "wall_time_s"),
+                (cells[:5] + cells[-1:] for cells in rows))
 
 
 def _average_ranks(table: dict) -> dict:
@@ -476,43 +500,47 @@ def significance_markers(per_repeat: dict, reference_method: str = "fc_odt",
 
 def aggregate_to_csv(table: dict, ranks: dict) -> str:
     methods = sorted({m for row in table.values() for m in row})
-    lines = [",".join(["dataset"] + methods)]
-    for dataset in sorted(table):
-        cells = []
-        for m in methods:
-            if m in table[dataset]:
-                mean, std = table[dataset][m]
-                cells.append(f"{mean:.3f}+-{std:.3f}")
-            else:
-                cells.append("")
-        lines.append(",".join([dataset] + cells))
-    lines.append(",".join(["average_rank"] +
-                          [f"{ranks[m]:.2f}" if m in ranks else "" for m in methods]))
-    return "\n".join(lines) + "\n"
+    rows = [[dataset] + ["{:.3f}+-{:.3f}".format(*table[dataset][m]) if m in table[dataset]
+                         else "" for m in methods] for dataset in sorted(table)]
+    rows.append(["average_rank"] + [f"{ranks[m]:.2f}" if m in ranks else "" for m in methods])
+    return _csv(["dataset"] + methods, rows)
 
 
 def significance_to_csv(markers) -> str:
-    lines = ["dataset,method,p_value,marker"]
-    for row in markers:
-        lines.append(f"{row['dataset']},{row['method']},{_fmt(row['p_value'])},{row['marker']}")
-    return "\n".join(lines) + "\n"
+    return _csv(("dataset", "method", "p_value", "marker"),
+                ([row["dataset"], row["method"], _fmt(row["p_value"]), row["marker"]]
+                 for row in markers))
 
 
 def load_reference_scores(path: str) -> list[dict]:
     """Read externally published mean/std scores (dataset, method, mean,
-    std) used for rank aggregation."""
+    std) used for rank aggregation. The header must name those columns,
+    every row must have a cell per header column, ``mean`` must be finite
+    and ``std`` finite and nonnegative; otherwise a ValueError names the
+    line and, for a bad number, its column."""
     rows = []
+    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
+            where = f"reference scores {path} line {number}"
             if header is None:
+                missing = [name for name in ("dataset", "method", "mean", "std")
+                           if name not in cells]
+                if missing:
+                    raise ValueError(f"{where}: header lacks columns {missing}")
                 header = cells
                 continue
+            if len(cells) != len(header):
+                raise ValueError(f"{where}: {len(cells)} cells, expected {len(header)}")
             row = dict(zip(header, cells))
+            mean = _number(row["mean"], float, f"{where} mean")
+            std = _number(row["std"], float, f"{where} std")
+            if std < 0:
+                raise ValueError(f"{where} std: negative value {row['std']!r}")
             rows.append({"dataset": row["dataset"], "method": row["method"],
-                         "mean": float(row["mean"]), "std": float(row["std"])})
+                         "mean": mean, "std": std})
     return rows

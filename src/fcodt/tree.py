@@ -995,21 +995,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# the header lines after the format line: each field's name and type, in order
+_HEADER = (("input_dim", int), ("lambda", float), ("max_depth", int),
+           ("min_samples_split", int), ("min_samples_leaf", int), ("min_gain", float),
+           ("concatenate", bool), ("residual_path", bool), ("nodes", int))
+
+
 def model_to_text(model: ObliqueTreeModel) -> str:
     """Self-describing text serialization; floats carry 17 significant
     digits so models round-trip exactly."""
-    lines = [
-        f"{FORMAT_TAG} {FORMAT_VERSION}",
-        f"input_dim {model.input_dim}",
-        f"lambda {_fmt(model.lam)}",
-        f"max_depth {model.criteria.max_depth}",
-        f"min_samples_split {model.criteria.min_samples_split}",
-        f"min_samples_leaf {model.criteria.min_samples_leaf}",
-        f"min_gain {_fmt(model.criteria.min_gain)}",
-        f"concatenate {int(model.concatenate)}",
-        f"residual_path {int(model.residual_path)}",
-        f"nodes {len(model.nodes)}",
-    ]
+    c = model.criteria
+    values = (model.input_dim, model.lam, c.max_depth, c.min_samples_split,
+              c.min_samples_leaf, c.min_gain, model.concatenate, model.residual_path,
+              len(model.nodes))
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
+    lines.extend(f"{name} {_fmt(value) if kind is float else int(value)}"
+                 for (name, kind), value in zip(_HEADER, values))
     for node in model.nodes:
         if isinstance(node, ObliqueNode):
             proj = " ".join(_fmt(v) for v in node.projection)
@@ -1052,39 +1053,28 @@ def model_from_text(text: str) -> ObliqueTreeModel:
     head = lines[0].split()
     if len(head) != 2 or head[0] != FORMAT_TAG:
         raise ValueError("not a model document")
-    if int(head[1]) != FORMAT_VERSION:
+    if _number(head[1], int, "format version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {head[1]}")
 
-    fields = {}
-    for ln in lines[1:10]:
-        key, val = ln.split(maxsplit=1)
-        fields[key] = val
-    expected = ["input_dim", "lambda", "max_depth", "min_samples_split",
-                "min_samples_leaf", "min_gain", "concatenate", "residual_path",
-                "nodes"]
-    missing = [k for k in expected if k not in fields]
+    # a name alone on its line reads as an empty value, which _number rejects
+    texts = dict((ln.split(maxsplit=1) + [""])[:2] for ln in lines[1:1 + len(_HEADER)])
+    missing = [name for name, _ in _HEADER if name not in texts]
     if missing:
         raise ValueError(f"model document missing fields: {missing}")
-
-    criteria = SplitCriteria(
-        max_depth=int(fields["max_depth"]),
-        min_samples_split=int(fields["min_samples_split"]),
-        min_samples_leaf=int(fields["min_samples_leaf"]),
-        min_gain=_number(fields["min_gain"], float, "min_gain"),
-    )
-    lam = _number(fields["lambda"], float, "lambda")
+    (input_dim, lam, max_depth, min_split, min_leaf, min_gain, concatenate, residual_path,
+     n_nodes) = (_flag(texts[name], name) if kind is bool else _number(texts[name], kind, name)
+                 for name, kind in _HEADER)
     if lam < 0:
-        raise ValueError(f"lambda: negative value {fields['lambda']!r}")
+        raise ValueError(f"lambda: negative value {texts['lambda']!r}")
     model = ObliqueTreeModel(
-        input_dim=int(fields["input_dim"]),
+        input_dim=input_dim,
         lam=lam,
-        criteria=criteria,
-        concatenate=_flag(fields["concatenate"], "concatenate"),
-        residual_path=_flag(fields["residual_path"], "residual_path"),
+        criteria=SplitCriteria(max_depth, min_split, min_leaf, min_gain),
+        concatenate=concatenate,
+        residual_path=residual_path,
         nodes=[],
     )
-    n_nodes = int(fields["nodes"])
-    node_lines = lines[10:]
+    node_lines = lines[1 + len(_HEADER):]
     if len(node_lines) != n_nodes:
         raise ValueError(f"expected {n_nodes} node lines, found {len(node_lines)}")
     for i, ln in enumerate(node_lines):

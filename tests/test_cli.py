@@ -336,6 +336,17 @@ class TestSweepCommand:
         assert "unknown method 'nope'" in capsys.readouterr().err
         assert not out_dir.exists()  # no journal
 
+    @pytest.mark.parametrize("grid, entry", [([0.1, -1.0], "-1.0"),
+                                             ([0.1, float("nan")], "nan")])
+    def test_bad_lambda_grid_refused_before_any_cell(self, tmp_path, capsys, grid, entry):
+        cfg = write_config(tmp_path / "cfg.json", lambda_grid=grid)
+        out_dir = tmp_path / "out"
+        for kind in ("sweep", "bench"):
+            argv = [kind, "--config", str(cfg), "--out", str(out_dir)]
+            assert run(*argv, *(["--kind", "depth"] if kind == "sweep" else [])) == 1
+            assert f"lambda grid entry {entry} is not a finite" in capsys.readouterr().err
+            assert not out_dir.exists()  # no journal
+
 
 class TestBenchCommand:
     def test_sim_benchmark_outputs(self, tmp_path):

@@ -156,6 +156,11 @@ class TestGridSearch:
         assert all(row["mse"] == np.inf for row in failed)
         assert all("finite and nonnegative" in row["error"] for row in failed)
 
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda grid entry nan cannot be ordered"):
+            grid_search_lambda(gen_sim1(200, 0.01, 0), "fc_odt", SplitCriteria(max_depth=2),
+                               [0.1, float("nan")], 2, 0)
+
     def test_method_without_lambda_fits_nothing(self, monkeypatch):
         def no_fits(*args):
             raise AssertionError("cart grew a CV tree")
@@ -180,6 +185,12 @@ class TestFitMethodMany:
 def test_config_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         ExperimentConfig(methods=("fc_odt", "nope"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), "0.1"])
+def test_config_rejects_bad_lambda_grid_entry(bad):
+    with pytest.raises(ValueError, match=f"lambda grid entry {bad!r} is not a finite"):
+        ExperimentConfig(lambda_grid=(0.1, bad))
 
 
 def fast_config(**kw):
@@ -256,6 +267,28 @@ class TestBenchmark:
         table, ranks, _ = aggregate_benchmark(records, reference)
         assert "tao" in table["sim1"]
         assert ranks["fc_odt"] == 1.0 and ranks["tao"] == 2.0
+
+    @pytest.mark.parametrize("text, match", [
+        ("dataset,method,mean,std\nsim1,tao,nan,0.01\n", "line 2 mean: non-finite value 'nan'"),
+        ("dataset,method,mean,std\nsim1,tao,0.2,inf\n", "line 2 std: non-finite value 'inf'"),
+        ("dataset,method,mean,std\n\nsim1,tao,0.2,-0.1\n", "line 3 std: negative value '-0.1'"),
+        ("dataset,method,mean,std\nsim1,tao,0.2,x\n", "line 2 std: malformed number 'x'"),
+        ("dataset,method,mean\nsim1,tao,0.2\n", r"line 1: header lacks columns \['std'\]"),
+        ("dataset,method,mean,std\nsim1,tao,0.2\n", "line 2: 3 cells, expected 4"),
+        ("dataset,method,mean,std\nsim1,tao,0.2,0.1,9\n", "line 2: 5 cells, expected 4"),
+    ], ids=["nan_mean", "inf_std", "negative_std", "malformed_std", "no_std_column",
+            "short_row", "long_row"])
+    def test_bad_reference_row_names_line(self, tmp_path, text, match):
+        path = tmp_path / "ref.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            evaluation.load_reference_scores(str(path))
+
+    def test_reference_scores_read(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("method,dataset,std,mean\ntao,sim1,0,0.25\n")
+        assert evaluation.load_reference_scores(str(path)) == [
+            {"dataset": "sim1", "method": "tao", "mean": 0.25, "std": 0.0}]
 
     def test_tied_means_share_average_rank(self):
         records = [ExperimentRecord(method, dataset, seed, "depth", 4.0, "r2", value)

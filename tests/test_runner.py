@@ -8,7 +8,13 @@ import pytest
 
 from fcodt import evaluation
 from fcodt.cli import main
-from fcodt.evaluation import ExperimentConfig, bench_cells, iter_cells, sweep_cells
+from fcodt.evaluation import (
+    ExperimentConfig,
+    ExperimentRecord,
+    bench_cells,
+    iter_cells,
+    sweep_cells,
+)
 
 
 def run(*argv):
@@ -139,6 +145,35 @@ class TestPool:
         assert outputs[0] == outputs[1]
 
 
+class TestRecordCodec:
+    @pytest.mark.parametrize("record", [
+        ExperimentRecord("fc_odt", "sim1", 2 ** 63 - 1, "depth", 0.1 + 0.2, "mse", 1e-300, 0.0),
+        ExperimentRecord("cart", "sim2", 0, "n_samples", 2000.0, "r2", -0.1 - 0.2,
+                         5e-324),
+    ])
+    def test_cells_round_trip_exactly(self, record):
+        back = ExperimentRecord.from_cells(record.cells())
+        assert back == record
+        assert [float(v).hex() for v in (back.param_value, back.value, back.wall_time)] == \
+            [float(v).hex() for v in (record.param_value, record.value, record.wall_time)]
+
+    def test_cells_follow_record_columns(self):
+        record = ExperimentRecord("fc_odt", "sim1", 7, "depth", 3.0, "mse", 0.5, 1.25)
+        assert dict(zip(evaluation.RECORD_COLUMNS, record.cells())) == {
+            "method": "fc_odt", "dataset": "sim1", "seed": "7", "param_name": "depth",
+            "param_value": "3", "metric": "mse", "value": "0.5", "wall_time": "1.25"}
+
+    @pytest.mark.parametrize("cells", [
+        ["fc_odt", "sim1", "7", "depth", "3", "mse", "0.5"],
+        ["fc_odt", "sim1", "7", "depth", "3", "mse", "0.5", "1", "0"],
+        ["fc_odt", "sim1", "7.5", "depth", "3", "mse", "0.5", "1"],
+        ["fc_odt", "sim1", "7", "depth", "three", "mse", "0.5", "1"],
+    ])
+    def test_from_cells_rejects_malformed(self, cells):
+        with pytest.raises(ValueError):
+            ExperimentRecord.from_cells(cells)
+
+
 class TestJournal:
     def sweep(self, cfg, out_dir):
         return run("sweep", "--config", str(cfg), "--kind", "depth", "--out", str(out_dir))
@@ -204,6 +239,18 @@ class TestJournal:
         assert self.sweep(cfg, out_dir) == 1
         err = capsys.readouterr().err
         assert f"journal {journal} line 4" in err
+
+    def test_line_with_extra_cell_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out_dir = tmp_path / "out"
+        assert self.sweep(cfg, out_dir) == 0
+        journal = out_dir / "depth_journal.csv"
+        lines = journal.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("\n", ",0\n")  # 9 cells
+        journal.write_text("".join(lines))
+        capsys.readouterr()
+        assert self.sweep(cfg, out_dir) == 1
+        assert f"journal {journal} line 4" in capsys.readouterr().err
 
     def test_bench_resumes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", methods=["fc_odt", "cart"], repeats=2)

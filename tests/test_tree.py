@@ -468,6 +468,11 @@ class TestLoaderFieldChecks:
         ("residual_path", "-1", "residual_path: expected 0 or 1, got '-1'"),
         ("concatenate", "yes", "concatenate: malformed number 'yes'"),
         ("lambda", "-3", "lambda: negative value '-3'"),
+        ("max_depth", "two", "max_depth: malformed number 'two'"),
+        ("input_dim", "ten", "input_dim: malformed number 'ten'"),
+        ("nodes", "x", "nodes: malformed number 'x'"),
+        ("min_gain", "", "min_gain: malformed number ''"),
+        ("fcodt-model", "one", "format version: malformed number 'one'"),
     ])
     def test_rejects_out_of_range_header(self, key, value, match):
         head, nodes = cart_model_text(1)
