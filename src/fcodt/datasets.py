@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,6 +422,10 @@ def sha256_file(path: str) -> str:
 def fetch_dataset(entry: dict, dest_path: str, timeout: float = 60.0) -> str:
     """Download a manifest entry's URL to dest_path, verifying a pinned
     sha256 when present."""
+    # imported here, its one use: it pulls in http, email and ssl, which
+    # would lengthen every import of the package
+    import urllib.request
+
     url = entry.get("url")
     if not url:
         raise ValueError("manifest entry has no url to fetch")

@@ -87,6 +87,22 @@ def cell_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _of_type(value, kind) -> bool:
+    """Whether a config value is a ``kind`` (bool, int, float or str): a
+    bool is neither an int nor a float, and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real,
+                              str: str}[kind])
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+# the type of an ExperimentConfig field by its annotation, and of the
+# entries of each list field but the λ grid
+_FIELD_TYPES = {"int": int, "float": float, "bool": bool}
+_ENTRY_TYPES = {"methods": str, "datasets": str, "depths": int, "sample_sizes": int}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple = ("fc_odt", "ridge_odt")
@@ -108,8 +124,37 @@ class ExperimentConfig:
     scale_features: bool = False
 
     def __post_init__(self):
+        """Refuse a value of the wrong type or one that a cell would refuse
+        (``SplitCriteria``, ``grid_search_lambda``, the data generators and
+        the train/test split), so that a bad config fails before any cell
+        runs."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple":
+                if not isinstance(value, (tuple, list)):
+                    raise ValueError(f"{f.name} must be a list, got {value!r}")
+                kind = _ENTRY_TYPES.get(f.name)  # None for the λ grid, checked below
+                bad = [entry for entry in value if kind and not _of_type(entry, kind)]
+                if bad:
+                    raise ValueError(f"{f.name} entry {bad[0]!r} is not {_TYPE_NAMES[kind]}")
+            elif not _of_type(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {_TYPE_NAMES[_FIELD_TYPES[f.type]]}, "
+                                 f"got {value!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
+        for depth in (self.max_depth,) + tuple(self.depths):
+            self.criteria(max_depth=depth)
+        for n in self.sample_sizes:
+            if n < self.folds:
+                raise ValueError(f"sample size {n} is below folds={self.folds}")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
+        if self.test_samples < 1:
+            raise ValueError("test_samples must be at least 1")
         if not self.lambda_grid:
             raise ValueError("lambda grid must be nonempty")
         for lam in self.lambda_grid:

@@ -117,9 +117,10 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
     grams = np.empty((len(problems), d, d))
     rhs = np.empty((len(problems), d, 1))
     means = []
+    ones = np.ones(max(X.shape[0] for X, _ in problems))
     for i, (X, y) in enumerate(problems):
         if fit_intercept:
-            x_mean = np.ones(X.shape[0]) @ X / X.shape[0]
+            x_mean = ones[:X.shape[0]] @ X / X.shape[0]
             y_mean = y.sum() / y.shape[0]
         else:
             x_mean, y_mean = np.zeros(d), 0.0

@@ -70,8 +70,8 @@ class SplitCriteria:
         if self.min_samples_split < 2 * self.min_samples_leaf:
             raise ValueError(
                 "min_samples_split must be at least twice min_samples_leaf")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be nonnegative")
+        if not 0 <= self.min_gain < math.inf:  # a model file holds finite numbers only
+            raise ValueError("min_gain must be finite and nonnegative")
 
 
 @dataclass
@@ -139,14 +139,6 @@ def concat_feature(X: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
     return np.hstack([X, col[:, None]])
 
 
-def _cut_sizes(ss: np.ndarray, min_leaf: int) -> np.ndarray:
-    """Left-group sizes at which ascending scores ``ss`` can be cut: the
-    scores strictly increase there and each side keeps ``min_leaf`` rows."""
-    n = ss.shape[0]
-    sizes = np.flatnonzero(ss[1:] > ss[:-1]) + 1
-    return sizes[(sizes >= min_leaf) & (n - sizes >= min_leaf)]
-
-
 def _pick_threshold(ss: np.ndarray, sizes: np.ndarray, gains: np.ndarray,
                     min_gain: float):
     """(threshold, gain) of the first maximum gain, or None below
@@ -185,16 +177,29 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     with prefix sums; ties in gain break toward the smallest threshold.
     Returns (threshold, gain) or None when no candidate is valid (constant
     projections, occupancy, or gain below ``min_gain``).
+
+    The scores are sorted by numpy's default sort, and again by the stable
+    sort only when the sorted scores tie (equal scores, ``-0.0`` and
+    ``0.0``, or NaN): distinct scores have one ascending order, which any
+    correct sort returns, and tied ones are kept in row order, so the
+    result is that of the stable sort bit for bit.
     """
     s = np.asarray(projections, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     _check_search_inputs(s, y, n_total)
     n = s.shape[0]
 
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)
     ss = s[order]
+    rises = ss[1:] > ss[:-1]
+    if not rises.all():
+        order = np.argsort(s, kind="stable")
+        ss = s[order]
     ys = y[order]
-    valid = _cut_sizes(ss, criteria.min_samples_leaf)
+    # a cut leaves k rows on the left: the scores rise between rows k - 1
+    # and k, and each side keeps min_samples_leaf rows
+    min_leaf = criteria.min_samples_leaf
+    valid = np.flatnonzero(rises[min_leaf - 1:n - min_leaf]) + min_leaf
     if valid.size == 0:
         return None
 
@@ -256,9 +261,9 @@ def _objectives(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray) -> np.ndarra
     sum (r - x.w - b)^2 + lam |w|^2, intercept unpenalised. It is the last
     pivot squared of the Cholesky factor of [[N, h], [h^T, rr + tau]],
     minus ``tau``, where N adds ``lam`` to the x diagonal; ``tau`` keeps
-    that pivot away from zero."""
-    q = gram.shape[1]
-    diagonal = np.einsum("kii->ki", gram)  # writable view
+    that pivot away from zero. ``gram`` is C-contiguous and is changed."""
+    k, q = gram.shape[:2]
+    diagonal = gram.reshape(k, q * q)[:, ::q + 1]  # a view: gram is contiguous
     diagonal[:, 1:q - 1] += lam[:, None]
     diagonal[:, -1] += tau
     try:
@@ -302,7 +307,7 @@ def _innovations(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray,
     omega[:, -1, :qa] = gram[:, -1, :qa]
     omega[:, qa:-1, :qa] = rows[:, ::-1, :qa]
     omega[:, -1, qa:-1] = rows[:, ::-1, -1]
-    diagonal = np.einsum("kii->ki", omega)  # writable view
+    diagonal = omega.reshape(k, -1)[:, ::omega.shape[1] + 1]  # a view: omega is contiguous
     diagonal[:, 1:qa] += lam[:, None]
     diagonal[:, -1] = gram[:, -1, -1] + tau
     try:
@@ -652,10 +657,13 @@ def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # row order must not leak into split arithmetic: sort rows by feature
-    # values (then target) once, so fits are permutation-invariant. When
-    # the first feature has no ties it alone fixes that order.
-    order = np.argsort(X[:, 0], kind="stable")
+    """The rows of ``X`` sorted by feature values, then target: row order
+    must not leak into split arithmetic, so fits are permutation-invariant.
+    When the first feature has no ties it alone fixes that order, and
+    numpy's default sort finds it (distinct keys have one ascending order,
+    the stable sort's too); otherwise a lexicographic sort over every
+    column and the target does."""
+    order = np.argsort(X[:, 0])
     first = X[order, 0]
     if np.all(first[1:] > first[:-1]):
         return order
@@ -739,10 +747,17 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
     arithmetic depends on its own rows only, so every tree is exactly the
     one grown alone. Each entry is the model, or the exception its fit
     raised. Only each tree's own reordered copy of its data is kept, so a
-    generator of jobs holds one copy per tree.
+    generator of jobs holds one copy per tree. A child gets its rows of
+    ``[X_t, scores]`` only when the next level searches it (``searched``);
+    a child that will be a leaf keeps only its targets.
     """
     residual_path = finder == "residual"
     criteria = criteria or SplitCriteria()
+
+    def searched(depth, rows):
+        # whether a node at ``depth`` with ``rows`` rows gets a split search
+        return depth < criteria.max_depth and rows >= criteria.min_samples_split
+
     out = []
     lams, sizes = [], []
     # per tree, its nodes of the current depth in slot order; children
@@ -765,9 +780,7 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
     depth = 0
     while any(levels):
         work = [(i, slot, X_t, y_t) for i, level in enumerate(levels)
-                for slot, X_t, y_t in level
-                if depth < criteria.max_depth
-                and y_t.shape[0] >= criteria.min_samples_split]
+                for slot, X_t, y_t in level if searched(depth, y_t.shape[0])]
         splits = {}
         for batch in _row_batches(work):
             for key, found in _split_batch(batch, lams, sizes, criteria, finder):
@@ -799,12 +812,14 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
                 p = X_t.shape[1]
                 for slot_c, rows in ((left_slot, split.left_indices),
                                      (left_slot + 1, split.right_indices)):
-                    # the child's rows of [X_t, scores] (with concatenation)
-                    X_c = np.empty((rows.shape[0], p + concatenate))
-                    np.take(X_t, rows, axis=0, out=X_c[:, :p])
                     s_c = split.scores[rows]
-                    if concatenate:
-                        X_c[:, p] = s_c
+                    X_c = None
+                    if searched(depth + 1, rows.shape[0]):
+                        # the child's rows of [X_t, scores] (with concatenation)
+                        X_c = np.empty((rows.shape[0], p + concatenate))
+                        np.take(X_t, rows, axis=0, out=X_c[:, :p])
+                        if concatenate:
+                            X_c[:, p] = s_c
                     y_c = y_t[rows]
                     if residual_path:
                         y_c -= s_c

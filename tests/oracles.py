@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: elimination instead
 of Cholesky, quadratic rescans instead of prefix sums, enumeration instead
 of closed forms. The explain and stump references are the exceptions:
 they keep the per-row and per-node form of a batched library path, built
-on the parts it batches (the router, ``solve_ridge``).
+on the parts it batches (the router, ``solve_ridge``). So is the stable
+threshold scan, the earlier ``best_threshold`` kept step for step, which
+the library must match bit for bit.
 """
 
 import itertools
@@ -96,6 +98,41 @@ def best_threshold_bruteforce(scores, y, n_total, min_leaf, min_gain=0.0):
     if best is None or best[1] < min_gain:
         return None
     return best
+
+
+def best_threshold_stable_scan(scores, y, n_total, min_leaf, min_gain=0.0):
+    """The prefix-sum scan of ``best_threshold`` over numpy's stable sort
+    of the scores, every sort and every sum as it was before the library
+    sorted with the default sort. Returns (threshold, gain) or None."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = s.shape[0]
+    order = np.argsort(s, kind="stable")
+    ss = s[order]
+    ys = y[order]
+    sizes = np.flatnonzero(ss[1:] > ss[:-1]) + 1
+    valid = sizes[(sizes >= min_leaf) & (n - sizes >= min_leaf)]
+    if valid.size == 0:
+        return None
+    csum = np.cumsum(ys)
+    csq = np.cumsum(ys * ys)
+    total_sum = csum[-1]
+    total_sq = csq[-1]
+    parent_sse = total_sq - total_sum * total_sum / n
+    k = valid.astype(np.float64)
+    left_sum = csum[valid - 1]
+    left_sq = csq[valid - 1]
+    sse_left = left_sq - left_sum * left_sum / k
+    sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - k)
+    gains = np.maximum((parent_sse - sse_left - sse_right) / n_total, 0.0)
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    if gain < min_gain:
+        return None
+    lo = ss[valid[best] - 1]
+    hi = ss[valid[best]]
+    mid = (lo + hi) / 2.0
+    return (float(mid) if mid > lo else float(hi)), gain
 
 
 def cart_split_bruteforce(X, y, n_total, min_leaf, min_gain=0.0):

@@ -336,6 +336,18 @@ class TestSweepCommand:
         assert "unknown method 'nope'" in capsys.readouterr().err
         assert not out_dir.exists()  # no journal
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("repeats", "3", "repeats must be an integer, got '3'"),
+        ("folds", 1, "folds must be at least 2")])
+    def test_bad_config_value_refused_before_any_cell(self, tmp_path, capsys, key, value,
+                                                      message):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        out_dir = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--kind", "depth",
+                   "--out", str(out_dir)) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()  # no depth_journal.csv
+
     @pytest.mark.parametrize("grid, entry", [([0.1, -1.0], "-1.0"),
                                              ([0.1, float("nan")], "nan")])
     def test_bad_lambda_grid_refused_before_any_cell(self, tmp_path, capsys, grid, entry):

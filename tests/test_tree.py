@@ -6,6 +6,7 @@ import pytest
 from fcodt import tree
 from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.datasets import Dataset
+from fcodt.evaluation import SIM_GENERATORS
 from fcodt.tree import (
     LeafNode,
     ObliqueNode,
@@ -21,7 +22,11 @@ from fcodt.tree import (
     predict_batch,
     replay_training_data,
 )
-from oracles import best_threshold_bruteforce, decision_paths_reference
+from oracles import (
+    best_threshold_bruteforce,
+    best_threshold_stable_scan,
+    decision_paths_reference,
+)
 
 
 def loose_criteria(**kw):
@@ -42,6 +47,12 @@ class TestSplitCriteria:
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             SplitCriteria(max_depth=0)
+
+    @pytest.mark.parametrize("min_gain", [float("nan"), float("inf"), -1.0])
+    def test_min_gain_must_be_finite_and_nonnegative(self, min_gain):
+        # a model file cannot hold a non-finite min_gain
+        with pytest.raises(ValueError, match="min_gain must be finite and nonnegative"):
+            SplitCriteria(min_gain=min_gain)
 
 
 class TestConcatFeature:
@@ -119,6 +130,89 @@ class TestBestThreshold:
         _, g4 = best_threshold(proj, y, 4, loose_criteria())
         _, g8 = best_threshold(proj, y, 8, loose_criteria())
         assert g4 == pytest.approx(2 * g8)
+
+
+def _bits(found):
+    """The bytes of a (threshold, gain) result, None as is."""
+    return None if found is None else np.array(found, dtype=np.float64).tobytes()
+
+
+def _tie_case(kind, rng):
+    n = int(rng.integers(40, 1200))
+    if kind == "distinct":
+        scores = rng.normal(size=n)
+    elif kind == "integers":
+        scores = rng.integers(0, 7, size=n).astype(np.float64)
+    elif kind == "constant":
+        scores = np.full(n, 0.3)
+    else:  # one -0.0 and one 0.0 among distinct scores
+        scores = rng.normal(size=n)
+        scores[rng.choice(n, 2, replace=False)] = [-0.0, 0.0]
+    # targets whose sums round differently in another row order
+    return scores, rng.normal(size=n) * 1e3 + 1.0 / 3.0
+
+
+class TestTieAwareSort:
+    """The default sort with a stable re-sort on ties gives the stable
+    scan's results bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "integers", "constant", "signed_zero"])
+    def test_best_threshold_matches_stable_scan(self, kind):
+        # another order of tied rows changes the bits of about one case in six
+        rng = np.random.default_rng(700)
+        for _ in range(40):
+            scores, y = _tie_case(kind, rng)
+            n = scores.shape[0]
+            min_leaf = int(rng.integers(1, 9))
+            crit = loose_criteria(min_samples_leaf=min_leaf, min_samples_split=2 * min_leaf)
+            got = best_threshold(scores, y, n + 5, crit)
+            assert _bits(got) == _bits(best_threshold_stable_scan(scores, y, n + 5, min_leaf))
+            assert (got is None) == (kind == "constant")
+
+    def test_signed_zero_pair_is_a_tie(self):
+        # -0.0 and 0.0 compare equal: no cut between them, either order
+        scores = np.array([0.0, -0.0, 1.0, 2.0])
+        y = np.array([5.0, -5.0, 1.0, 2.0])
+        for pair in (scores, scores[[1, 0, 2, 3]]):
+            got = best_threshold(pair, y, 4, loose_criteria())
+            assert _bits(got) == _bits(best_threshold_stable_scan(pair, y, 4, 1))
+            assert got[0] != 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_order_is_stable_order_without_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(int(rng.integers(2, 3000)), 3))
+        y = rng.normal(size=X.shape[0])
+        np.testing.assert_array_equal(tree._canonical_order(X, y),
+                                      np.argsort(X[:, 0], kind="stable"))
+
+
+class TestDepthPrefix:
+    """Growing deeper only adds levels: each internal node of a depth-d
+    tree is the node in the same slot of the depth-6 tree (projection
+    bytes, threshold, gain and children)."""
+
+    @pytest.mark.parametrize("name", ["sim1", "sim2"])
+    @pytest.mark.parametrize("method", sorted(tree.METHODS))
+    def test_shallow_tree_is_prefix_of_deep_tree(self, method, name):
+        data = SIM_GENERATORS[name](1600, 0.01, 11)
+        checked = 0
+        for lam in (1e-4, 0.01, 1.0):
+            trees = [tree.fit_method(method, data, lam, SplitCriteria(max_depth=depth))
+                     for depth in range(2, 7)]
+            deep = trees[-1]
+            for shallow in trees[:-1]:
+                for slot, node in enumerate(shallow.nodes):
+                    if not isinstance(node, ObliqueNode):
+                        continue
+                    other = deep.nodes[slot]
+                    assert isinstance(other, ObliqueNode)
+                    assert node.projection.tobytes() == other.projection.tobytes()
+                    assert _bits((node.threshold, node.gain)) == _bits((other.threshold, other.gain))
+                    assert (node.depth, node.left, node.right) == (other.depth, other.left,
+                                                                   other.right)
+                    checked += 1
+        assert checked > 0
 
 
 class TestFindObliqueSplit:
