@@ -124,10 +124,11 @@ class ExperimentConfig:
     scale_features: bool = False
 
     def __post_init__(self):
-        """Refuse a value of the wrong type or one that a cell would refuse
-        (``SplitCriteria``, ``grid_search_lambda``, the data generators and
-        the train/test split), so that a bad config fails before any cell
-        runs."""
+        """Refuse a value of the wrong type, or one that every run reads and
+        a cell would refuse (``SplitCriteria``, ``grid_search_lambda``, the
+        data generators), so that a bad config fails before any cell runs.
+        The values that one kind of run reads alone are checked where its
+        cells are made (``sweep_cells``, ``bench_cells``)."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "tuple":
@@ -144,17 +145,8 @@ class ExperimentConfig:
             raise ValueError("repeats must be at least 1")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        for depth in (self.max_depth,) + tuple(self.depths):
-            self.criteria(max_depth=depth)
-        for n in self.sample_sizes:
-            if n < self.folds:
-                raise ValueError(f"sample size {n} is below folds={self.folds}")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
-        if self.test_samples < 1:
-            raise ValueError("test_samples must be at least 1")
         if not self.lambda_grid:
             raise ValueError("lambda grid must be nonempty")
         for lam in self.lambda_grid:
@@ -165,7 +157,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method in self.methods:
-            if not isinstance(method, str) or method not in METHODS:
+            if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
 
     def criteria(self, max_depth: int | None = None) -> SplitCriteria:
@@ -298,7 +290,8 @@ def _sweep_cell(config: ExperimentConfig, dataset: str, method: str, param_name:
 def sweep_cells(config: ExperimentConfig, kind: str) -> list:
     """The (dataset, method, parameter, repeat) cells of a sweep, each a
     (key, function, args) triple; ``function(*args)`` returns the record
-    whose ``key()`` is ``key``."""
+    whose ``key()`` is ``key``. Raises ValueError for a config value that
+    this sweep's cells would refuse."""
     if kind == "depth":
         params = [(d, 2000) for d in config.depths]
         name = "depth"
@@ -307,6 +300,12 @@ def sweep_cells(config: ExperimentConfig, kind: str) -> list:
         name = "n_samples"
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
+    for depth, n_train in params:
+        config.criteria(max_depth=depth)
+        if n_train < config.folds:
+            raise ValueError(f"sample size {n_train} is below folds={config.folds}")
+    if config.test_samples < 1:
+        raise ValueError("test_samples must be at least 1")
     cells = []
     for dataset in config.datasets:
         if dataset not in SIM_GENERATORS:
@@ -343,7 +342,11 @@ def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
     (key, function, args) triples, like ``sweep_cells``, and the datasets
     skipped because their files are missing. A real dataset is loaded
     once; a simulated one is drawn once per repeat. Returns (cells,
-    skipped)."""
+    skipped). Raises ValueError for a config value that every cell would
+    refuse."""
+    config.criteria()
+    if not 0 < config.train_fraction < 1:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
     cells = []
     skipped = []
     for name in config.datasets:

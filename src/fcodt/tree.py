@@ -182,20 +182,39 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     sort only when the sorted scores tie (equal scores, ``-0.0`` and
     ``0.0``, or NaN): distinct scores have one ascending order, which any
     correct sort returns, and tied ones are kept in row order, so the
-    result is that of the stable sort bit for bit.
+    result is that of the stable sort bit for bit. Ridge projections
+    seldom tie; feature columns, which tie often, go through
+    ``_column_threshold`` instead.
     """
     s = np.asarray(projections, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     _check_search_inputs(s, y, n_total)
-    n = s.shape[0]
-
     order = np.argsort(s)
     ss = s[order]
     rises = ss[1:] > ss[:-1]
     if not rises.all():
         order = np.argsort(s, kind="stable")
         ss = s[order]
-    ys = y[order]
+    return _sorted_threshold(ss, y[order], rises, n_total, criteria)
+
+
+def _column_threshold(column: np.ndarray, y: np.ndarray, n_total: int,
+                      criteria: SplitCriteria):
+    """``best_threshold`` of one feature column of a node, for the axis
+    search. Integer and categorical columns tie at every node, where the
+    default sort would only be followed by the stable one, so the stable
+    sort runs at once."""
+    order = np.argsort(column, kind="stable")
+    ss = column[order]
+    return _sorted_threshold(ss, y[order], ss[1:] > ss[:-1], n_total, criteria)
+
+
+def _sorted_threshold(ss: np.ndarray, ys: np.ndarray, rises: np.ndarray, n_total: int,
+                      criteria: SplitCriteria):
+    """The scan of ``best_threshold`` on the scores ``ss`` in the stable
+    ascending order, the targets ``ys`` in that order, and ``rises``, where
+    the scores strictly increase from one row to the next."""
+    n = ss.shape[0]
     # a cut leaves k rows on the left: the scores rise between rows k - 1
     # and k, and each side keeps min_samples_leaf rows
     min_leaf = criteria.min_samples_leaf
@@ -261,9 +280,9 @@ def _objectives(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray) -> np.ndarra
     sum (r - x.w - b)^2 + lam |w|^2, intercept unpenalised. It is the last
     pivot squared of the Cholesky factor of [[N, h], [h^T, rr + tau]],
     minus ``tau``, where N adds ``lam`` to the x diagonal; ``tau`` keeps
-    that pivot away from zero. ``gram`` is C-contiguous and is changed."""
-    k, q = gram.shape[:2]
-    diagonal = gram.reshape(k, q * q)[:, ::q + 1]  # a view: gram is contiguous
+    that pivot away from zero."""
+    q = gram.shape[1]
+    diagonal = np.einsum("kii->ki", gram)  # writable view
     diagonal[:, 1:q - 1] += lam[:, None]
     diagonal[:, -1] += tau
     try:
@@ -307,7 +326,7 @@ def _innovations(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray,
     omega[:, -1, :qa] = gram[:, -1, :qa]
     omega[:, qa:-1, :qa] = rows[:, ::-1, :qa]
     omega[:, -1, qa:-1] = rows[:, ::-1, -1]
-    diagonal = omega.reshape(k, -1)[:, ::omega.shape[1] + 1]  # a view: omega is contiguous
+    diagonal = np.einsum("kii->ki", omega)  # writable view
     diagonal[:, 1:qa] += lam[:, None]
     diagonal[:, -1] = gram[:, -1, -1] + tau
     try:
@@ -599,14 +618,14 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     "mean" and "residual" ridge-fit a projection (as one batch) and pick
     its threshold by ``best_threshold`` or, as one batch,
     ``best_residual_threshold``; "axis" runs ``best_threshold`` on every
-    column and keeps the first best one as a unit projection with zero
-    bias."""
+    column (``_column_threshold``) and keeps the first best one as a unit
+    projection with zero bias."""
     if not nodes:
         return []
     if finder == "axis":
         fits, found = [], []
         for (X_t, y_t), n_total in zip(nodes, n_totals):
-            hits = [best_threshold(X_t[:, j], y_t, n_total, criteria)
+            hits = [_column_threshold(X_t[:, j], y_t, n_total, criteria)
                     for j in range(X_t.shape[1])]
             # the first maximum: ties break toward the lowest column
             j = int(np.argmax([-np.inf if hit is None else hit[1] for hit in hits]))

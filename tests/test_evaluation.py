@@ -193,6 +193,25 @@ def test_config_rejects_bad_lambda_grid_entry(bad):
         ExperimentConfig(lambda_grid=(0.1, bad))
 
 
+@pytest.mark.parametrize("overrides, refusing, message", [
+    ({"folds": 60}, {"samples"}, "sample size 50 is below folds=60"),
+    ({"depths": (2, 0)}, {"depth"}, "max_depth must be at least 1"),
+    ({"max_depth": 0}, {"samples", "bench"}, "max_depth must be at least 1"),
+    ({"test_samples": 0}, {"depth", "samples"}, "test_samples must be at least 1"),
+    ({"train_fraction": 1.5}, {"bench"}, "train_fraction must lie strictly")])
+def test_config_value_refused_only_by_runs_that_read_it(overrides, refusing, message):
+    config = ExperimentConfig(datasets=("sim1",), repeats=1, **overrides)
+    builders = {"depth": lambda: evaluation.sweep_cells(config, "depth"),
+                "samples": lambda: evaluation.sweep_cells(config, "samples"),
+                "bench": lambda: evaluation.bench_cells(config, None, ".")}
+    for kind, build in builders.items():
+        if kind in refusing:
+            with pytest.raises(ValueError, match=message):
+                build()
+        else:
+            assert build()
+
+
 def fast_config(**kw):
     defaults = dict(methods=("fc_odt", "ridge_odt"), datasets=("sim1", "sim2"),
                     depths=(2,), sample_sizes=(50, 100), repeats=2,

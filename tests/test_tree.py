@@ -153,19 +153,22 @@ def _tie_case(kind, rng):
 
 
 class TestTieAwareSort:
-    """The default sort with a stable re-sort on ties gives the stable
-    scan's results bit for bit."""
+    """Both sorts of the constant-child scan give the stable scan's
+    results bit for bit: the default sort with a stable re-sort on ties
+    (``best_threshold``) and the stable sort at once (``_column_threshold``)."""
 
     @pytest.mark.parametrize("kind", ["distinct", "integers", "constant", "signed_zero"])
-    def test_best_threshold_matches_stable_scan(self, kind):
-        # another order of tied rows changes the bits of about one case in six
+    @pytest.mark.parametrize("search", ["best_threshold", "_column_threshold"])
+    def test_search_matches_stable_scan(self, search, kind):
+        # another order of tied rows changes the bits of about one case in six;
+        # _column_threshold, the axis search, sorts stably at once
         rng = np.random.default_rng(700)
         for _ in range(40):
             scores, y = _tie_case(kind, rng)
             n = scores.shape[0]
             min_leaf = int(rng.integers(1, 9))
             crit = loose_criteria(min_samples_leaf=min_leaf, min_samples_split=2 * min_leaf)
-            got = best_threshold(scores, y, n + 5, crit)
+            got = getattr(tree, search)(scores, y, n + 5, crit)
             assert _bits(got) == _bits(best_threshold_stable_scan(scores, y, n + 5, min_leaf))
             assert (got is None) == (kind == "constant")
 
