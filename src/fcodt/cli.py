@@ -20,7 +20,6 @@ import numpy as np
 
 from . import evaluation
 from .datasets import (
-    csv_matrix,
     dataset_to_csv,
     gen_sim1,
     gen_sim2,
@@ -111,6 +110,7 @@ def cmd_train(args) -> int:
     criteria = _criteria_from_args(args)
     if args.lam == "cv":
         grid = tuple(float(v) for v in args.grid.split(","))
+        evaluation._check_lambda_grid(grid)
         lam, table = grid_search_lambda(data, args.method, criteria, grid,
                                         args.folds, args.seed)
         print("lambda,fold,val_mse")
@@ -144,13 +144,8 @@ def _explain_lines(model, routing) -> list:
 def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = model_from_text(fh.read())
-    if args.target is not None or args.format == "libsvm":
-        data = read_table(args.data, args.format, args.target, args.drop)
-        X = data.features
-    else:
-        # no target column: every column is a feature
-        with open(args.data, "r", encoding="utf-8") as fh:
-            X = csv_matrix(fh.read())
+    # without --target every column not dropped is a feature
+    X = read_table(args.data, args.format, args.target, args.drop).features
     if X.shape[0] and X.shape[1] != model.input_dim:
         print(f"error: model expects {model.input_dim} features, data has {X.shape[1]}",
               file=sys.stderr)

@@ -299,7 +299,8 @@ def _csv_values(lines, body, skip: int, ncols: int, used) -> np.ndarray:
 def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Dataset:
     """Parse a rectangular numeric table; the target column (by header name
     or 0-based index) is split out, remaining columns in order become
-    features.
+    features. With ``target_column`` None there is no target column: every
+    column not dropped is a feature, and the targets are zeros.
 
     The first non-blank line is a header unless every one of its cells
     reads as a number. Each cell is read exactly as Python ``float()``
@@ -323,21 +324,22 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
             raise ValueError(f"column {spec!r} not found in header {header}")
         return header.index(spec)
 
-    tgt = col_index(target_column)
+    tgt = None if target_column is None else col_index(target_column)
     dropped = {col_index(c) for c in drop_columns}
     if tgt in dropped:
         raise ValueError("target column cannot also be dropped")
     keep = [j for j in range(ncols) if j != tgt and j not in dropped]
-    table = _csv_values(lines, body, header is not None, ncols, sorted(keep + [tgt]))
-    return Dataset(table[:, keep], table[:, tgt], meta=meta)
+    used = keep if tgt is None else sorted(keep + [tgt])
+    table = _csv_values(lines, body, header is not None, ncols, used)
+    y = np.zeros(len(body)) if tgt is None else table[:, tgt]
+    return Dataset(table[:, keep], y, meta=meta)
 
 
 def csv_matrix(source) -> np.ndarray:
     """Every column of a CSV table as an ``(n, ncols)`` float64 matrix,
     read as ``parse_csv`` reads it; ``(0, 0)`` when every line is
     blank."""
-    lines, body, header, ncols = _split_csv(source)
-    return _csv_values(lines, body, header is not None, ncols, list(range(ncols)))
+    return parse_csv(source, None).features
 
 
 def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
@@ -462,7 +464,8 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
                expected_dim: int | None = None, name: str | None = None) -> Dataset:
     """Read the ``csv`` or ``libsvm`` table at ``path``. For CSV,
     ``target`` and each ``drop`` entry name a column by header name or
-    0-based index; ``expected_dim`` bounds LIBSVM feature indices. The
+    0-based index, and a ``target`` of None reads no target (zeros, see
+    ``parse_csv``); ``expected_dim`` bounds LIBSVM feature indices. The
     dataset is named ``name``, by default the file's base name without
     its extension."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -96,6 +96,19 @@ def _of_type(value, kind) -> bool:
                               str: str}[kind])
 
 
+def _check_lambda_grid(grid):
+    """Raise ValueError unless ``grid``, the λ grid of a run config or of
+    ``fcodt train --grid``, is nonempty and holds finite nonnegative
+    numbers only."""
+    if not grid:
+        raise ValueError("lambda grid must be nonempty")
+    for lam in grid:
+        if (not isinstance(lam, numbers.Real) or isinstance(lam, bool)
+                or not math.isfinite(lam) or lam < 0):
+            raise ValueError(f"lambda grid entry {lam!r} is not a finite "
+                             f"nonnegative number")
+
+
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 # the type of an ExperimentConfig field by its annotation, and of the
 # entries of each list field but the λ grid
@@ -147,13 +160,7 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
-        if not self.lambda_grid:
-            raise ValueError("lambda grid must be nonempty")
-        for lam in self.lambda_grid:
-            if (not isinstance(lam, numbers.Real) or isinstance(lam, bool)
-                    or not math.isfinite(lam) or lam < 0):
-                raise ValueError(f"lambda grid entry {lam!r} is not a finite "
-                                 f"nonnegative number")
+        _check_lambda_grid(self.lambda_grid)
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method in self.methods:

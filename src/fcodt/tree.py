@@ -245,10 +245,9 @@ _COARSE_BLOCKS = 4
 # enough to spread the per-batch cost over many nodes, few enough to keep
 # the batch's arrays small
 _BATCH_GRAM = 8192 * 144
-# factorisations per LAPACK call in a search, bounding the arrays that
-# LAPACK returns
-_ANCHOR_CHUNK = 32
-_FACTOR_CHUNK = 16
+# matrix entries per LAPACK call in a search, bounding the arrays that
+# LAPACK returns: each call factors as many matrices as fit
+_FACTOR_ENTRIES = 32768
 
 
 class _Workspace(threading.local):
@@ -274,37 +273,23 @@ class _Workspace(threading.local):
 _WORK = _Workspace()
 
 
-def _objectives(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Penalised ridge objective J of each stack of Gram sums ``gram`` of
-    rows [1, x, r]: the minimum over (w, b) of
-    sum (r - x.w - b)^2 + lam |w|^2, intercept unpenalised. It is the last
-    pivot squared of the Cholesky factor of [[N, h], [h^T, rr + tau]],
-    minus ``tau``, where N adds ``lam`` to the x diagonal; ``tau`` keeps
-    that pivot away from zero."""
-    q = gram.shape[1]
-    diagonal = np.einsum("kii->ki", gram)  # writable view
-    diagonal[:, 1:q - 1] += lam[:, None]
-    diagonal[:, -1] += tau
-    try:
-        return np.linalg.cholesky(gram)[:, -1, -1] ** 2 - tau
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "singular system in the child fits of the threshold search") from exc
-
-
 def _innovations(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray,
                  rows: np.ndarray) -> np.ndarray:
     """J of the rows of ``gram`` minus the rows of ``rows``, then J after
-    each of those rows is added back, first to last.
+    each of those rows is added back, first to last. J is the penalised
+    ridge objective of rows [1, x, r]: the minimum over (w, b) of
+    sum (r - x.w - b)^2 + lam |w|^2, intercept unpenalised.
 
-    ``gram`` stacks (k, q, q) penalised-Gram sums of rows [1, x, r] that
-    include the (k, B, q) ``rows`` (zero rows add nothing). Factor
+    ``gram`` stacks (k, q, q) Gram sums of rows [1, x, r] that include the
+    (k, B, q) ``rows`` (zero rows add nothing). With B = 0 the one column
+    is J of ``gram`` itself. Factor
 
         [[N,      A_rev^T,  h       ],
          [A_rev,  I,        r_rev   ],
          [h^T,    r_rev^T,  rr + tau]]
 
-    with the block's rows (A, r) in reverse. Eliminating N leaves
+    with N the [1, x] block of ``gram`` plus ``lam`` on the x diagonal,
+    and the block's rows (A, r) in reverse. Eliminating N leaves
     I - A N^-1 A^T = S^-1, rows reversed, where S = I + A M^-1 A^T is the
     predictive covariance of the block's rows under the fit on the other
     rows (penalised Gram M = N - A^T A). The factor of the reversed S^-1
@@ -351,17 +336,17 @@ def _residual_cuts(scores: list, features: list, residuals: list,
     Each cut needs ``sum r^2 - J_left - J_right``, J_side being the
     penalised ridge objective of r on x over that side's rows. J at the
     first and last cut and every B rows between (the anchors) comes from
-    the Gram sums there (``_objectives``). Adding rows never lowers
-    J, so between two anchors J_left is at least its value at the first
-    and J_right at least its value at the second; a stretch whose bound
-    stays below the node's best anchor cannot hold its maximum. Anchors
-    are taken one in _COARSE_BLOCKS first, and the others only in the
-    stretches between those that can hold it; then every gap of B rows
-    whose bound stays below is dropped. In the others, J at every cut is
-    J at an anchor plus the squared
-    innovations of the rows in between (``_innovations``): the left side
-    adds the gap's rows to the rows before it, the right side adds them,
-    last first, to the rows after it.
+    the Gram sums there (``_innovations`` on no rows). Adding rows never
+    lowers J, so between two anchors J_left is at least its value at the
+    first and J_right at least its value at the second; a stretch whose
+    bound stays below the node's best anchor cannot hold its maximum.
+    Anchors are taken one in _COARSE_BLOCKS first, and the others only in
+    the stretches between those that can hold it; then every gap of B rows
+    whose bound stays below is dropped. In the others, J at every cut is J
+    at an anchor plus the squared innovations of the rows in between
+    (``_innovations`` on those rows): the left side adds the gap's rows to
+    the rows before it, the right side adds them, last first, to the rows
+    after it.
     """
     b = _BLOCK_ROWS
     m = len(scores)
@@ -451,10 +436,12 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
     span = offsets[-1]
     m = nodes.shape[0]
 
-    # per node, the Gram sums of its rows before each multiple of B, and
-    # before its first and last cut
-    gstart = np.concatenate([[0], np.cumsum(nblocks[nodes] + 1)[:-1]])
-    grid = _WORK.array("grid", (gstart[-1] + nblocks[nodes[-1]] + 1, q, q))
+    # per node, the Gram sums of its rows before each multiple of B (the
+    # last one, at ``top``, of all its rows), then before its first and
+    # before its last cut
+    gstart = np.concatenate([[0], np.cumsum(nblocks[nodes] + 3)[:-1]])
+    top = gstart + nblocks[nodes]
+    grid = _WORK.array("grid", (top[-1] + 3, q, q))
     grid[gstart] = 0.0
     for g, j in zip(gstart, nodes):
         blocks = Z[offsets[j]:offsets[j + 1]].reshape(-1, b, q)
@@ -467,7 +454,9 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
     part = (ends // b * b)[:, None] + np.arange(b)
     part[part >= ends[:, None]] = span  # a zero row
     part = Z[part]
-    part_gram = np.matmul(part.transpose(0, 2, 1), part)
+    grid[np.concatenate([top + 1, top + 2])] = (
+        grid[(gstart + (ends.reshape(2, m) - offsets[nodes]) // b).ravel()]
+        + np.matmul(part.transpose(0, 2, 1), part))
     del part
 
     # anchors: the first and last cut and every multiple of B between
@@ -479,34 +468,32 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
     pts = np.where(rank == 0, lo[k], (lo[k] // b + rank) * b)
     pts[last] = hi
     npts = pts.shape[0]
-    # which partial Gram, if any, completes each anchor's prefix
-    extra = np.full(npts, -1)
-    extra[last] = m + np.arange(m)
-    extra[first] = np.arange(m)
-    base = gstart[k] + (pts - offsets[nodes[k]]) // b
-    top = gstart[k] + nblocks[nodes[k]]
+    # each anchor's prefix in the grid
+    prefix = gstart[k] + (pts - offsets[nodes[k]]) // b
+    prefix[last] = top + 2
+    prefix[first] = top + 1
     node_lam = lam[nodes[k]]
     node_tau = tau[nodes[k]]
 
-    def before(sel, out):
-        # Gram sums of each node's rows before anchors ``sel``
-        np.take(grid, base[sel], axis=0, out=out)
-        with_part = np.flatnonzero(extra[sel] >= 0)
-        out[with_part] += part_gram[extra[sel][with_part]]
-        return out
-
-    def sides(sel_left, sel_right):
-        # Gram sums before anchors ``sel_left`` and from anchors
-        # ``sel_right`` on (all rows less the rows before)
-        n_left = sel_left.shape[0]
-        out = _WORK.array("sides", (n_left + sel_right.shape[0], q, q))
-        before(sel_left, out[:n_left])
-        right = out[n_left:]
-        if sel_right is sel_left:
-            right[...] = out[:n_left]
-        else:
-            before(sel_right, right)
-        np.subtract(grid.take(top[sel_right], axis=0), right, out=right)
+    def factor(left, right, row_index):
+        # _innovations on the Gram sums before anchors ``left`` and from
+        # anchors ``right`` on (all rows less the rows before), each side
+        # with its rows of ``row_index`` (2, len(left), width); as many
+        # pairs per call as fit in _FACTOR_ENTRIES
+        n, width = row_index.shape[1:]
+        chunk = max(1, _FACTOR_ENTRIES // (2 * (q + width) ** 2))
+        out = np.empty((2, n, width + 1))
+        for i in range(0, n, chunk):
+            # both anchors of a pair lie in one node
+            sel = np.concatenate((left[i:i + chunk], right[i:i + chunk]))
+            c = sel.shape[0] // 2
+            gram = _WORK.array("sides", (2 * c, q, q))
+            np.take(grid, prefix[sel], axis=0, out=gram)
+            np.subtract(grid.take(top[k[sel[c:]]], axis=0), gram[c:], out=gram[c:])
+            rows = _WORK.array("scratch", (2 * c, width, q))
+            np.take(Z, row_index[:, i:i + c].reshape(2 * c, width), axis=0, out=rows)
+            out[:, i:i + c] = _innovations(gram, node_lam[sel], node_tau[sel],
+                                           rows).reshape(2, c, width + 1)
         return out
 
     total_p = totals[nodes[k]]
@@ -515,12 +502,9 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
 
     def anchor_objectives(chosen):
         # J of both sides at anchors ``chosen``, and the decrease at those
-        # that are cuts
-        for lo_i in range(0, chosen.shape[0], _ANCHOR_CHUNK):
-            sel = chosen[lo_i:lo_i + _ANCHOR_CHUNK]
-            objective[:, sel] = _objectives(
-                sides(sel, sel), np.concatenate((node_lam[sel], node_lam[sel])),
-                np.concatenate((node_tau[sel], node_tau[sel]))).reshape(2, -1)
+        # that are cuts; an anchor adds no rows
+        no_rows = np.empty((2, chosen.shape[0], 0), np.intp)
+        objective[:, chosen] = factor(chosen, chosen, no_rows)[:, :, 0]
         at = chosen[cutmask[pts[chosen]]]
         decrease[pts[at]] = total_p[at] - objective[0, at] - objective[1, at]
 
@@ -555,17 +539,8 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
     width = x1 - x0
     t = np.arange(b)
     real = t < width[:, None]
-    row_index = np.stack([np.where(real, x0[:, None] + t, span),
-                          np.where(real, x1[:, None] - 1 - t, span)])
-    scan = np.empty((2, gap.shape[0], b + 1))
-    for lo_i in range(0, gap.shape[0], _FACTOR_CHUNK):
-        gaps = gap[lo_i:lo_i + _FACTOR_CHUNK]
-        n = gaps.shape[0]
-        rows = _WORK.array("scratch", (2 * n, b, q))
-        np.take(Z, row_index[:, lo_i:lo_i + n].reshape(-1, b), axis=0, out=rows)
-        scan[:, lo_i:lo_i + n] = _innovations(
-            sides(gaps + 1, gaps), np.concatenate((node_lam[gaps], node_lam[gaps])),
-            np.concatenate((node_tau[gaps], node_tau[gaps])), rows).reshape(2, n, b + 1)
+    scan = factor(gap + 1, gap, np.stack([np.where(real, x0[:, None] + t, span),
+                                          np.where(real, x1[:, None] - 1 - t, span)]))
     # J_left at x0 + s is s rows into the left scan, J_right there is
     # width - s rows into the right scan
     s = np.arange(b + 1)

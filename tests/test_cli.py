@@ -105,6 +105,22 @@ class TestTrainPredict:
         assert f"lambda must be finite and nonnegative, got {lam}" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("grid, entry", [("-1,0.1,inf", "-1.0"), ("0.1,inf", "inf"),
+                                             ("0.1,nan", "nan")])
+    def test_bad_grid_refused_before_any_fit(self, tmp_path, sim_csv, capsys, grid, entry,
+                                             monkeypatch):
+        # the run config's check and message, before any CV fit
+        def no_fits(*args):
+            raise AssertionError("a CV fit ran")
+        monkeypatch.setattr("fcodt.cli.grid_search_lambda", no_fits)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--drop", "f", "--lambda", "cv",
+                   f"--grid={grid}", "--out", str(model_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: lambda grid entry {entry} is not a finite nonnegative number" in err
+        assert not model_path.exists()
+
     def test_missing_file_no_partial_output(self, tmp_path):
         model_path = tmp_path / "model.txt"
         assert run("train", "--data", str(tmp_path / "nope.csv"),
@@ -234,6 +250,27 @@ class TestTrainPredict:
         preds = predict_batch(model_from_text(model_path.read_text()), table.features)
         assert pred_path.read_text() == "".join(
             ["prediction\n"] + [format(v, ".17g") + "\n" for v in preds])
+
+    @pytest.mark.parametrize("drop", ["f", "10"])
+    def test_predict_drops_columns_without_target(self, tmp_path, sim_csv, drop):
+        # x1..x10 and f, no target: dropping f, by name or by index,
+        # predicts as the table of x1..x10 alone does
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        rows = [line.split(",") for line in sim_csv.read_text().splitlines()]
+        with_f = tmp_path / "with_f.csv"
+        with_f.write_text("".join(",".join(row[:10] + row[11:]) + "\n" for row in rows))
+        without_f = tmp_path / "without_f.csv"
+        without_f.write_text("".join(",".join(row[:10]) + "\n" for row in rows))
+        preds = {}
+        for name, path, flags in (("dropped", with_f, ["--drop", drop]),
+                                  ("absent", without_f, [])):
+            preds[name] = tmp_path / f"{name}.txt"
+            assert run("predict", "--model", str(model_path), "--data", str(path),
+                       *flags, "--out", str(preds[name])) == 0
+        assert len(preds["dropped"].read_text().splitlines()) == 301
+        assert preds["dropped"].read_bytes() == preds["absent"].read_bytes()
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(fcodt.__file__)))

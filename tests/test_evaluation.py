@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcodt import evaluation
-from fcodt.datasets import Dataset, gen_sim1
+from fcodt.datasets import Dataset, gen_sim1, minmax_scale, train_test_split
 from fcodt.evaluation import (
     ExperimentConfig,
     ExperimentRecord,
@@ -20,7 +20,7 @@ from fcodt.evaluation import (
     significance_markers,
     timings_to_csv,
 )
-from fcodt.tree import SplitCriteria
+from fcodt.tree import SplitCriteria, predict_batch
 from oracles import rank_sum_exact_pvalue
 
 
@@ -271,6 +271,33 @@ class TestBenchmark:
         csv = aggregate_to_csv(table, ranks)
         assert csv.splitlines()[0] == "dataset,cart,fc_odt,ridge_odt"
         assert csv.splitlines()[-1].startswith("average_rank,")
+
+    def test_scaled_features_match_pipeline_by_hand(self):
+        config = fast_config(datasets=("sim1",), repeats=1, lambda_grid=(0.01, 1.0),
+                             scale_features=True)
+        records, _ = run_benchmark(config)
+        data = gen_sim1(2000, config.noise_sigma, cell_seed(7, "sim1", "data", 0))
+        split = train_test_split(data, config.train_fraction, cell_seed(7, "sim1", "split", 0))
+        train = data.subset(split.train_indices)
+        test = data.subset(split.test_indices)
+        lo, hi = train.features.min(axis=0), train.features.max(axis=0)
+        train_s, test_s = minmax_scale(train, (test,))
+        assert np.array_equal(train_s.features, (train.features - lo) / (hi - lo))
+        assert np.array_equal(test_s.features, (test.features - lo) / (hi - lo))
+        criteria = config.criteria()
+        for record in records:
+            seed = cell_seed(7, "sim1", record.method, "benchmark", 0)
+            assert record.seed == seed
+            lam, _ = grid_search_lambda(train_s, record.method, criteria,
+                                        config.lambda_grid, config.folds, seed)
+            model = evaluation.fit_method(record.method, train_s, lam, criteria)
+            assert record.value == r2(predict_batch(model, test_s.features), test.targets)
+        # the ridge penalty depends on the scale, so the scaled fc_odt cell
+        # differs from the unscaled one
+        unscaled, _ = run_benchmark(fast_config(datasets=("sim1",), repeats=1,
+                                                lambda_grid=(0.01, 1.0)))
+        assert unscaled[0].method == records[0].method == "fc_odt"
+        assert unscaled[0].value != records[0].value
 
     def test_missing_real_dataset_skipped(self):
         config = fast_config(datasets=("sim1", "housing"))

@@ -9,6 +9,7 @@ residuals. The oracle refits both children at every candidate with lstsq.
 import numpy as np
 import pytest
 
+from fcodt import tree
 from fcodt.baselines import fit_ridge_odt
 from fcodt.datasets import Dataset
 from fcodt.linalg import SingularSystemError
@@ -75,6 +76,51 @@ class TestBestResidualThreshold:
         expect = residual_threshold_bruteforce(scores, X, r, 0.0, 40, 4)
         assert thr == expect[0]
         assert gain == pytest.approx(expect[1], rel=1e-9)
+
+
+class TestBatchedSearch:
+    def test_nodes_across_chunk_boundaries(self, monkeypatch):
+        # several large nodes in one search, with the bound on matrix
+        # entries per LAPACK call so small that both the anchors and the
+        # gaps of B rows take several calls
+        rng = np.random.default_rng(31)
+        p = 4
+        nodes = []
+        for n, lam in zip((300, 640, 900, 450), (1e-3, 0.1, 1.0, 10.0)):
+            X = rng.normal(size=(n, p))
+            scores = X @ rng.normal(size=p) + 0.3 * rng.normal(size=n)
+            r = X[:, 0] ** 2 + rng.normal(size=n)
+            nodes.append((scores, X, r, lam))
+        crit = SplitCriteria(max_depth=2, min_samples_split=16, min_samples_leaf=8)
+
+        def search():
+            return tree._residual_cuts(
+                [s for s, _, _, _ in nodes], [X for _, X, _, _ in nodes],
+                [r for _, _, r, _ in nodes], np.array([lam for *_, lam in nodes]),
+                np.array([2000] * len(nodes)), crit)
+
+        unpatched = search()
+        calls = {"anchor": [], "gap": []}
+        innovations = tree._innovations
+
+        def counted(gram, lam, tau, rows):
+            calls["gap" if rows.shape[1] else "anchor"].append(gram.shape[0])
+            return innovations(gram, lam, tau, rows)
+
+        # 5 anchor pairs per call, and 1 gap pair: a pair of gap matrices
+        # has more entries than the bound
+        q = p + 2
+        monkeypatch.setattr(tree, "_FACTOR_ENTRIES", 10 * q * q)
+        monkeypatch.setattr(tree, "_innovations", counted)
+        patched = search()
+        assert len(calls["anchor"]) > 2 * len(nodes) and max(calls["anchor"]) == 10
+        assert len(calls["gap"]) > 2 * len(nodes) and max(calls["gap"]) == 2
+        assert patched == unpatched
+        for (scores, X, r, lam), got in zip(nodes, patched):
+            expect = residual_threshold_bruteforce(scores, X, r, lam, 2000,
+                                                   crit.min_samples_leaf)
+            assert got[0] == expect[0]
+            assert got[1] == pytest.approx(expect[1], rel=1e-9, abs=1e-12)
 
 
 class TestFcOdtSplits:
