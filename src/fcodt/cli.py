@@ -102,6 +102,18 @@ def _criteria_from_args(args) -> SplitCriteria:
     )
 
 
+def _parse_grid(text: str) -> tuple:
+    """The comma-separated λ values of ``--grid``; a ValueError names the
+    flag and the entry that is not a number."""
+    grid = []
+    for entry in text.split(","):
+        try:
+            grid.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--grid entry {entry!r} is not a number") from None
+    return tuple(grid)
+
+
 def cmd_train(args) -> int:
     data = read_table(args.data, args.format, args.target, args.drop)
     if data.n == 0:
@@ -109,7 +121,7 @@ def cmd_train(args) -> int:
         return 1
     criteria = _criteria_from_args(args)
     if args.lam == "cv":
-        grid = tuple(float(v) for v in args.grid.split(","))
+        grid = _parse_grid(args.grid)
         evaluation._check_lambda_grid(grid)
         lam, table = grid_search_lambda(data, args.method, criteria, grid,
                                         args.folds, args.seed)

@@ -465,14 +465,21 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
     """Read the ``csv`` or ``libsvm`` table at ``path``. For CSV,
     ``target`` and each ``drop`` entry name a column by header name or
     0-based index, and a ``target`` of None reads no target (zeros, see
-    ``parse_csv``); ``expected_dim`` bounds LIBSVM feature indices. The
-    dataset is named ``name``, by default the file's base name without
-    its extension."""
+    ``parse_csv``). A LIBSVM table names no columns: its target is the
+    first field of each line, so a ``target`` other than "y" or None and
+    any ``drop`` entry are refused; ``expected_dim`` bounds its feature
+    indices. The dataset is named ``name``, by default the file's base
+    name without its extension."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     if fmt == "libsvm":
+        if target not in ("y", None):
+            raise ValueError(f"target {target!r}: a libsvm table names no columns; "
+                             "its target is the first field of each line")
+        if drop:
+            raise ValueError(f"drop {list(drop)!r}: a libsvm table names no columns")
         return parse_libsvm(text, expected_dim=expected_dim, name=name)
     if fmt == "csv":
         return parse_csv(text, _column(target), tuple(map(_column, drop)), name=name)

@@ -2,15 +2,16 @@
 testing.
 
 An experiment's cells are enumerated once (``sweep_cells``, ``bench_cells``)
-as (key, function, args): the key is the ``key()`` of the record the cell
-returns, and its seed, derived there from (seed_base, dataset, method,
+as (key, function, args): the key holds the ``_KEY_FIELDS`` of the cell's
+record, and its seed, derived there from (seed_base, dataset, method,
 parameter, repeat) through sha256, makes cells independent,
-order-insensitive, and reproducible. One runner, ``iter_cells``, runs them
-in this process or a process pool. A cell fits its method by name through
+order-insensitive, and reproducible. ``function(*args)`` returns the
+cell's value and wall time; one runner, ``iter_cells``, runs the cells in
+this process or a process pool and makes each record from its key, value
+and wall time. A cell fits its method by name through
 ``tree.fit_method(_many)``; ``tree.METHODS`` says which methods exist and
-which of them take a tuned lambda. Wall time is recorded per cell but kept
-out of the canonical results rows so identical configurations emit
-byte-identical results CSVs.
+which of them take a tuned lambda. Wall time is kept out of the canonical
+results rows so identical configurations emit byte-identical results CSVs.
 """
 
 from __future__ import annotations
@@ -188,8 +189,7 @@ class ExperimentRecord:
     wall_time: float = 0.0
 
     def key(self) -> tuple:
-        return (self.method, self.dataset, self.param_name,
-                self.param_value, self.seed, self.metric)
+        return tuple(getattr(self, name) for name in _KEY_FIELDS)
 
     def cells(self) -> list:
         """The text cells of ``RECORD_COLUMNS``, floats at 17 significant
@@ -207,20 +207,22 @@ class ExperimentRecord:
 
 
 # the columns of a record's text form (journal lines), and the type of each;
-# results.csv holds all but wall_time
+# results.csv holds all but wall_time. A cell's key holds the _KEY_FIELDS.
 RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 _RECORD_CASTS = tuple({"str": str, "int": int, "float": float}[f.type]
                       for f in fields(ExperimentRecord))
+_KEY_FIELDS = ("method", "dataset", "param_name", "param_value", "seed", "metric")
 
 
 def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
                        grid, folds: int, seed: int):
     """Pick the grid value minimizing mean validation MSE across k folds.
 
-    Ties break toward the smaller lambda. Fit failures are recorded in the
-    CV table (that cell scores +inf) without aborting the search. Returns
-    (best_lambda, table) where the table has one row per (lambda, fold).
-    A method that takes no lambda (``tree.METHODS``) is grown at 0, so it
+    Each distinct grid value is fitted once per fold; ties break toward
+    the smaller lambda. Fit failures are recorded in the CV table (that
+    cell scores +inf) without aborting the search. Returns (best_lambda,
+    table) where the table has one row per distinct lambda and fold. A
+    method that takes no lambda (``tree.METHODS``) is grown at 0, so it
     returns (0.0, []) at once, fitting nothing.
     """
     if method in METHODS and not METHODS[method][2]:  # takes no lambda
@@ -230,11 +232,9 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
         raise ValueError("lambda grid must be nonempty")
     if any(math.isnan(lam) for lam in grid):
         raise ValueError("lambda grid entry nan cannot be ordered")
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
+    lams = sorted(set(grid))
     assignments = kfold_indices(data.n, folds, seed)
-    cells = [(lam, i, fold) for lam in sorted(grid)
-             for i, fold in enumerate(assignments)]
+    cells = [(lam, i, fold) for lam in lams for i, fold in enumerate(assignments)]
     per_batch = max(1, _CV_ROWS // max(1, max(len(f.train_indices) for f in assignments)))
     table = []
     for start in range(0, len(cells), per_batch):
@@ -253,32 +253,28 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
                 val = math.inf
                 err = f"{type(exc).__name__}: {exc}"
             table.append({"lambda": lam, "fold": i, "mse": val, "error": err})
-    best_lam = None
-    best_mean = math.inf
-    for lam in sorted(grid):
-        mean_val = float(np.mean([row["mse"] for row in table if row["lambda"] == lam]))
-        if mean_val < best_mean:
-            best_mean = mean_val
-            best_lam = lam
-    if best_lam is None or not math.isfinite(best_mean):
+    # (lambda x fold) validation MSE; a NaN mean never wins
+    means = np.array([row["mse"] for row in table]).reshape(len(lams), -1).mean(axis=1)
+    means[np.isnan(means)] = math.inf
+    best = int(np.argmin(means))  # the first minimum: the smallest lambda
+    if not math.isfinite(means[best]):
         raise ValueError("grid search failed for every lambda")
-    return best_lam, table
+    return lams[best], table
 
 
 def _tuned_fit(method: str, train: Dataset, config: ExperimentConfig,
                criteria: SplitCriteria, seed: int):
-    """Fit with per-cell lambda tuning; wall time covers tuning + fit."""
+    """Fit with per-cell lambda tuning: (model, seconds of tuning + fit)."""
     t0 = time.perf_counter()
     lam, _ = grid_search_lambda(train, method, criteria,
                                 config.lambda_grid, config.folds, seed)
     model = fit_method(method, train, lam, criteria)
-    return model, lam, time.perf_counter() - t0
+    return model, time.perf_counter() - t0
 
 
-def _sweep_cell(config: ExperimentConfig, dataset: str, method: str, param_name: str,
-                depth: int, n_train: int, rep: int, seed: int) -> ExperimentRecord:
+def _sweep_cell(config: ExperimentConfig, dataset: str, method: str,
+                depth: int, n_train: int, rep: int, seed: int):
     gen = SIM_GENERATORS[dataset]
-    param_value = depth if param_name == "depth" else n_train
     # data and test draws are shared across methods and parameter values
     # within a repeat, so method and depth/size curves are paired; the
     # cell seed (lambda tuning) stays fully cell-specific
@@ -286,19 +282,15 @@ def _sweep_cell(config: ExperimentConfig, dataset: str, method: str, param_name:
                 cell_seed(config.seed_base, dataset, "data", rep))
     test = gen(config.test_samples, 0.0,
                cell_seed(config.seed_base, dataset, "test", rep))
-    criteria = config.criteria(max_depth=depth)
-    model, _, wall = _tuned_fit(method, train, config, criteria, seed)
-    value = mse(predict_batch(model, test.features), test.clean_targets)
-    return ExperimentRecord(method=method, dataset=dataset, seed=seed,
-                            param_name=param_name, param_value=float(param_value),
-                            metric="mse", value=value, wall_time=wall)
+    model, wall = _tuned_fit(method, train, config, config.criteria(max_depth=depth), seed)
+    return mse(predict_batch(model, test.features), test.clean_targets), wall
 
 
 def sweep_cells(config: ExperimentConfig, kind: str) -> list:
-    """The (dataset, method, parameter, repeat) cells of a sweep, each a
-    (key, function, args) triple; ``function(*args)`` returns the record
-    whose ``key()`` is ``key``. Raises ValueError for a config value that
-    this sweep's cells would refuse."""
+    """The (dataset, method, parameter, repeat) cells of a sweep as
+    (key, function, args) triples: ``function(*args)`` returns the value
+    and wall time of the record whose ``_KEY_FIELDS`` are ``key``. Raises
+    ValueError for a config value that this sweep's cells would refuse."""
     if kind == "depth":
         params = [(d, 2000) for d in config.depths]
         name = "depth"
@@ -324,24 +316,20 @@ def sweep_cells(config: ExperimentConfig, kind: str) -> list:
                     seed = cell_seed(config.seed_base, dataset, method, name, param, rep)
                     cells.append(((method, dataset, name, float(param), seed, "mse"),
                                   _sweep_cell,
-                                  (config, dataset, method, name, depth, n_train, rep, seed)))
+                                  (config, dataset, method, depth, n_train, rep, seed)))
     return cells
 
 
-def _bench_cell(config: ExperimentConfig, name: str, method: str, data: Dataset,
-                split_seed: int, seed: int) -> ExperimentRecord:
+def _bench_cell(config: ExperimentConfig, method: str, data: Dataset,
+                split_seed: int, seed: int):
     # one partition per (dataset, repeat): every method scores the same split
     split = train_test_split(data, config.train_fraction, split_seed)
     train = data.subset(split.train_indices)
     test = data.subset(split.test_indices)
     if config.scale_features:
         train, test = minmax_scale(train, (test,))
-    criteria = config.criteria()
-    model, _, wall = _tuned_fit(method, train, config, criteria, seed)
-    value = r2(predict_batch(model, test.features), test.targets)
-    return ExperimentRecord(method=method, dataset=name, seed=seed,
-                            param_name="depth", param_value=float(criteria.max_depth),
-                            metric="r2", value=value, wall_time=wall)
+    model, wall = _tuned_fit(method, train, config, config.criteria(), seed)
+    return r2(predict_batch(model, test.features), test.targets), wall
 
 
 def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
@@ -373,13 +361,14 @@ def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
             for method in config.methods:
                 seed = cell_seed(config.seed_base, name, method, "benchmark", rep)
                 cells.append(((method, name, "depth", float(config.max_depth), seed, "r2"),
-                              _bench_cell, (config, name, method, data, split_seed, seed)))
+                              _bench_cell, (config, method, data, split_seed, seed)))
     return cells, skipped
 
 
 def _run_cell(cell) -> ExperimentRecord:
-    _, function, args = cell
-    return function(*args)
+    key, function, args = cell
+    value, wall_time = function(*args)
+    return ExperimentRecord(**dict(zip(_KEY_FIELDS, key)), value=value, wall_time=wall_time)
 
 
 def iter_cells(cells, workers: int):

@@ -121,6 +121,53 @@ class TestTrainPredict:
         assert f"error: lambda grid entry {entry} is not a finite nonnegative number" in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("grid, entry", [("0.1,,1", "''"), ("0.1,abc", "'abc'"),
+                                             ("", "''")])
+    def test_malformed_grid_names_flag_and_entry(self, tmp_path, sim_csv, capsys, grid,
+                                                 entry):
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--drop", "f", "--lambda", "cv",
+                   f"--grid={grid}", "--out", str(model_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --grid entry {entry} is not a number\n"
+        assert not model_path.exists()
+
+    def test_repeated_grid_value_printed_once(self, tmp_path, sim_csv, capsys):
+        train = ("train", "--data", str(sim_csv), "--drop", "f", "--lambda", "cv",
+                 "--folds", "3", "--max-depth", "2")
+        outputs = []
+        for grid in ("0.1,0.1", "0.1"):
+            assert run(*train, "--grid", grid, "--out", str(tmp_path / f"{grid}.txt")) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert [line.split(",")[:2] for line in lines[1:4]] == [["0.1", "0"], ["0.1", "1"],
+                                                                 ["0.1", "2"]]
+        assert lines[4] == "chosen lambda: 0.1"
+        assert ((tmp_path / "0.1,0.1.txt").read_bytes()
+                == (tmp_path / "0.1.txt").read_bytes())
+
+    @pytest.mark.parametrize("flags", [("--target", "0"), ("--drop", "1")])
+    def test_libsvm_column_specs_refused(self, tmp_path, capsys, flags):
+        data = tmp_path / "t.libsvm"
+        data.write_text("".join(f"{i % 3} 1:{i}.5 2:{i % 4}\n" for i in range(40)))
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(data), "--format", "libsvm", "--lambda", "0.1",
+                   "--max-depth", "2", "--out", str(model_path)) == 0
+        table = ("--data", str(data), "--format", "libsvm", *flags)
+        pred_path = tmp_path / "pred.csv"
+        bad = tmp_path / "bad.txt"
+        commands = [("train", *table, "--lambda", "0.1", "--out", str(bad)),
+                    ("predict", "--model", str(model_path), *table, "--out", str(pred_path)),
+                    ("inspect", "--model", str(model_path), "--stumps", *table)]
+        name = flags[0][2:]
+        for command in commands:
+            capsys.readouterr()
+            assert run(*command) == 1
+            assert f"error: {name} " in capsys.readouterr().err
+        assert not bad.exists() and not pred_path.exists()
+
     def test_missing_file_no_partial_output(self, tmp_path):
         model_path = tmp_path / "model.txt"
         assert run("train", "--data", str(tmp_path / "nope.csv"),

@@ -135,6 +135,20 @@ class TestParseLibsvm:
         ds = parse_libsvm("")
         assert ds.n == 0
 
+    @pytest.mark.parametrize("target, drop, message", [
+        ("y", ["nope"], r"drop \['nope'\]: a libsvm table names no columns"),
+        ("y", ["3"], r"drop \['3'\]: a libsvm table names no columns"),
+        ("0", [], "target '0': a libsvm table names no columns"),
+        ("label", [], "target 'label': a libsvm table names no columns"),
+    ])
+    def test_read_table_refuses_column_specs(self, tmp_path, target, drop, message):
+        path = tmp_path / "t.libsvm"
+        path.write_text("1 1:2.0 2:3.0 3:4.0\n")
+        with pytest.raises(ValueError, match=message):
+            datasets.read_table(str(path), "libsvm", target, drop)
+        for default in ("y", None):
+            assert datasets.read_table(str(path), "libsvm", default).dim == 3
+
 
 class TestParseCsv:
     def test_header_and_target_by_name(self):

@@ -161,6 +161,41 @@ class TestGridSearch:
             grid_search_lambda(gen_sim1(200, 0.01, 0), "fc_odt", SplitCriteria(max_depth=2),
                                [0.1, float("nan")], 2, 0)
 
+    def test_repeated_lambda_fitted_once(self, monkeypatch):
+        fits = []
+        many = evaluation.fit_method_many
+
+        def counting(method, jobs, criteria):
+            jobs = list(jobs)
+            fits.extend(lam for _, lam in jobs)
+            return many(method, jobs, criteria)
+
+        monkeypatch.setattr(evaluation, "fit_method_many", counting)
+        ds = gen_sim1(100, 0.1, 0)
+        crit = SplitCriteria(max_depth=2)
+        repeated = grid_search_lambda(ds, "fc_odt", crit, [0.1, 0.1], 2, 0)
+        assert fits == [0.1, 0.1]
+        assert repeated == grid_search_lambda(ds, "fc_odt", crit, [0.1], 2, 0)
+        assert [(row["lambda"], row["fold"]) for row in repeated[1]] == [(0.1, 0), (0.1, 1)]
+
+    def test_choice_is_first_minimum_of_mean_mse(self):
+        ds = tiny_dataset(seed=6)
+        crit = SplitCriteria(max_depth=2)
+        grid = [10.0, 1e-3, 1.0, 1e-3, 0.1, 10.0]
+        lam, table = grid_search_lambda(ds, "fc_odt", crit, grid, 3, 4)
+        lams = sorted(set(grid))
+        assert [row["lambda"] for row in table] == [x for x in lams for _ in range(3)]
+        means = [np.mean([row["mse"] for row in table if row["lambda"] == x]) for x in lams]
+        assert lam == lams[means.index(min(means))]
+        # a table of equal means picks the smallest lambda
+        flat = Dataset(ds.features, np.zeros(ds.n))
+        assert grid_search_lambda(flat, "fc_odt", crit, [1.0, 0.5, 2.0], 3, 4)[0] == 0.5
+
+    def test_one_fold_refused_by_kfold(self):
+        with pytest.raises(ValueError, match="k must satisfy 2 <= k <= n, got k=1"):
+            grid_search_lambda(tiny_dataset(), "fc_odt", SplitCriteria(max_depth=2),
+                               [0.1], 1, 0)
+
     def test_method_without_lambda_fits_nothing(self, monkeypatch):
         def no_fits(*args):
             raise AssertionError("cart grew a CV tree")

@@ -352,6 +352,30 @@ class TestMethods:
         assert model_to_text(model) == model_to_text(fit_cart(ds, SplitCriteria(max_depth=2)))
 
 
+class TestLevelBatches:
+    @pytest.mark.parametrize("method", sorted(tree.METHODS))
+    def test_one_node_per_batch_grows_same_trees(self, monkeypatch, method):
+        # each node its own batch: every level of more than one node of a
+        # feature width is searched over several _row_batches batches
+        jobs = [(SIM_GENERATORS["sim1"](500, 0.01, 21), 0.01),
+                (SIM_GENERATORS["sim2"](500, 0.01, 22), 0.1),
+                (make_dataset(n=500, d=4, seed=23, sigma=0.3), 1.0)]
+        crit = SplitCriteria(max_depth=4)
+        expected = [model_to_text(m) for m in tree.fit_method_many(method, jobs, crit)]
+        batches_per_level = []
+        row_batches = tree._row_batches
+
+        def counted(work):
+            batches = list(row_batches(work))
+            batches_per_level.append(len(batches))
+            return batches
+
+        monkeypatch.setattr(tree, "_BATCH_GRAM", 1)
+        monkeypatch.setattr(tree, "_row_batches", counted)
+        assert [model_to_text(m) for m in tree.fit_method_many(method, jobs, crit)] == expected
+        assert max(batches_per_level) > 2 * len(jobs)
+
+
 class TestTreeInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_gains_nonnegative_and_above_min(self, seed):
