@@ -123,6 +123,9 @@ def cmd_train(args) -> int:
     if args.lam == "cv":
         grid = _parse_grid(args.grid)
         evaluation._check_lambda_grid(grid)
+        if not 2 <= args.folds <= data.n:
+            raise ValueError(f"--folds must be between 2 and the table's {data.n} rows, "
+                             f"got {args.folds}")
         lam, table = grid_search_lambda(data, args.method, criteria, grid,
                                         args.folds, args.seed)
         print("lambda,fold,val_mse")

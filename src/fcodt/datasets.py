@@ -335,13 +335,6 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
     return Dataset(table[:, keep], y, meta=meta)
 
 
-def csv_matrix(source) -> np.ndarray:
-    """Every column of a CSV table as an ``(n, ncols)`` float64 matrix,
-    read as ``parse_csv`` reads it; ``(0, 0)`` when every line is
-    blank."""
-    return parse_csv(source, None).features
-
-
 def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
     """Serialize with 17 significant digits so values round-trip exactly."""
     d = data.dim

@@ -35,8 +35,8 @@ threshold searches run as batches. Only the split search differs
 ``METHODS`` names each learner of the comparison by its settings of that
 loop, and ``fit_method(_many)`` fits one by name.
 Every prediction goes through one router (``_walk``), which passes each
-node's scores down the path: ``predict_batch``, ``predict``,
-``route_batch`` (and ``decision_path(s)`` through it) and
+node's scores down the path: ``route_batch`` (and ``predict_batch``,
+``predict`` and ``decision_path(s)`` through it) and
 ``replay_training_data`` only read what it yields. Models load only
 when their nodes form one tree.
 """
@@ -139,11 +139,36 @@ def concat_feature(X: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
     return np.hstack([X, col[:, None]])
 
 
+def _sort_scores(s: np.ndarray):
+    """(order, sorted scores, rises) of the scores ``s`` in the stable
+    ascending order; ``rises`` marks where the sorted scores strictly
+    increase from one row to the next.
+
+    numpy's default sort runs first, and the stable sort again only when
+    the sorted scores tie (equal scores, ``-0.0`` and ``0.0``, or NaN):
+    distinct scores have one ascending order, which any correct sort
+    returns, and tied ones are kept in row order, so the order is the
+    stable sort's on every CPU, whichever kernel numpy dispatches. Ridge
+    projections seldom tie. Integer and categorical feature columns tie
+    at every node, where both sorts would run, so the axis search sorts
+    them stably at once (``_column_threshold``).
+    """
+    order = np.argsort(s)
+    ss = s[order]
+    rises = ss[1:] > ss[:-1]
+    if not rises.all():
+        order = np.argsort(s, kind="stable")
+        ss = s[order]
+    return order, ss, rises
+
+
 def _pick_threshold(ss: np.ndarray, sizes: np.ndarray, gains: np.ndarray,
                     min_gain: float):
     """(threshold, gain) of the first maximum gain, or None below
     ``min_gain``; the threshold is the midpoint of the two scores the cut
-    falls between."""
+    falls between. Gains are floored at zero, so when no cut gains (or a
+    cut's gain is left at -inf) the first cut wins with gain 0."""
+    gains = np.maximum(gains, 0.0)
     best = int(np.argmax(gains))  # first maximum = smallest threshold
     gain = float(gains[best])
     if gain < min_gain:
@@ -174,36 +199,24 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     The gain of a candidate is the drop in summed squared error around the
     child means, normalized by the full training-set size ``n_total``: the
     criterion of a tree whose children predict constants. One sorted pass
-    with prefix sums; ties in gain break toward the smallest threshold.
-    Returns (threshold, gain) or None when no candidate is valid (constant
+    with prefix sums over the stable ascending order (``_sort_scores``);
+    ties in gain break toward the smallest threshold. Returns
+    (threshold, gain) or None when no candidate is valid (constant
     projections, occupancy, or gain below ``min_gain``).
-
-    The scores are sorted by numpy's default sort, and again by the stable
-    sort only when the sorted scores tie (equal scores, ``-0.0`` and
-    ``0.0``, or NaN): distinct scores have one ascending order, which any
-    correct sort returns, and tied ones are kept in row order, so the
-    result is that of the stable sort bit for bit. Ridge projections
-    seldom tie; feature columns, which tie often, go through
-    ``_column_threshold`` instead.
     """
     s = np.asarray(projections, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     _check_search_inputs(s, y, n_total)
-    order = np.argsort(s)
-    ss = s[order]
-    rises = ss[1:] > ss[:-1]
-    if not rises.all():
-        order = np.argsort(s, kind="stable")
-        ss = s[order]
+    order, ss, rises = _sort_scores(s)
     return _sorted_threshold(ss, y[order], rises, n_total, criteria)
 
 
 def _column_threshold(column: np.ndarray, y: np.ndarray, n_total: int,
                       criteria: SplitCriteria):
     """``best_threshold`` of one feature column of a node, for the axis
-    search. Integer and categorical columns tie at every node, where the
-    default sort would only be followed by the stable one, so the stable
-    sort runs at once."""
+    search. Integer and categorical columns tie at every node, where
+    ``_sort_scores`` would run both sorts, so the stable sort runs at
+    once."""
     order = np.argsort(column, kind="stable")
     ss = column[order]
     return _sorted_threshold(ss, y[order], ss[1:] > ss[:-1], n_total, criteria)
@@ -233,7 +246,7 @@ def _sorted_threshold(ss: np.ndarray, ys: np.ndarray, rises: np.ndarray, n_total
     left_sq = csq[valid - 1]
     sse_left = left_sq - left_sum * left_sum / k
     sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - k)
-    gains = np.maximum((parent_sse - sse_left - sse_right) / n_total, 0.0)
+    gains = (parent_sse - sse_left - sse_right) / n_total
     return _pick_threshold(ss, valid, gains, criteria.min_gain)
 
 
@@ -361,7 +374,7 @@ def _residual_cuts(scores: list, features: list, residuals: list,
     span = int(offsets[-1])
 
     # the nodes' rows one after another, each node's in score order
-    orders = [np.argsort(s) for s in scores]
+    orders = [_sort_scores(s)[0] for s in scores]
     order = np.concatenate([o + st for o, st in zip(orders, starts)])
     ss = np.concatenate(scores)[order]
     r = np.concatenate(residuals)[order]
@@ -408,22 +421,14 @@ def _residual_cuts(scores: list, features: list, residuals: list,
         _search_intervals(Z, cutmask, offsets, nblocks, active,
                           cut_pos[bounds[active]], cut_pos[bounds[active + 1] - 1],
                           totals, tau, lams, decrease)
+    # cuts that cannot hold the maximum, and every cut of a node with no
+    # residual left, stay -inf
     gains = decrease[cut_pos] / n_totals[cut_node]
-    found = []
-    for j in range(m):
-        g = gains[bounds[j]:bounds[j + 1]]
-        if not g.size:
-            found.append(None)
-            continue
-        # when no cut gains, or no residual is left, every cut ties at zero
-        # and the first wins; cuts that cannot hold the maximum stay -inf
-        if tau[j] > 0 and g.max() > 0:
-            np.maximum(g, 0.0, out=g, where=np.isfinite(g))
-        else:
-            g[:] = 0.0
-        found.append(_pick_threshold(ss[starts[j]:starts[j] + sizes[j]],
-                                     cut_size[bounds[j]:bounds[j + 1]], g, criteria.min_gain))
-    return found
+    return [_pick_threshold(ss[starts[j]:starts[j] + sizes[j]],
+                            cut_size[bounds[j]:bounds[j + 1]],
+                            gains[bounds[j]:bounds[j + 1]], criteria.min_gain)
+            if bounds[j + 1] > bounds[j] else None
+            for j in range(m)]
 
 
 def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
@@ -653,13 +658,11 @@ def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The rows of ``X`` sorted by feature values, then target: row order
     must not leak into split arithmetic, so fits are permutation-invariant.
-    When the first feature has no ties it alone fixes that order, and
-    numpy's default sort finds it (distinct keys have one ascending order,
-    the stable sort's too); otherwise a lexicographic sort over every
-    column and the target does."""
-    order = np.argsort(X[:, 0])
-    first = X[order, 0]
-    if np.all(first[1:] > first[:-1]):
+    When the first feature has no ties it alone fixes that order
+    (``_sort_scores``); otherwise a lexicographic sort over every column
+    and the target does."""
+    order, _, rises = _sort_scores(X[:, 0])
+    if rises.all():
         return order
     keys = (y,) + tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1))
     return np.lexsort(keys)
@@ -901,7 +904,8 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
         for child, side in ((node.left, left), (node.right, ~left)):
             child_rows = rows[side]
             if child_rows.size:
-                stack.append((child, child_rows, rep[side],
+                # compress copies the rows in half the time boolean indexing takes
+                stack.append((child, child_rows, rep.compress(side, axis=0),
                               None if incoming is None else incoming[side]))
 
 
@@ -912,23 +916,14 @@ def predict(model: ObliqueTreeModel, x: np.ndarray) -> float:
 
 
 def predict_batch(model: ObliqueTreeModel, X: np.ndarray) -> np.ndarray:
-    """Predict every row of ``X``. With ``residual_path`` on, a row's
-    prediction is the sum of the projection scores along its path, root
-    first from 0.0, plus its leaf's value; otherwise the leaf value."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.zeros(X.shape[:1])
-    for slot, rows, _, _, scores in _walk(model, X):
-        if scores is None:
-            out[rows] += model.nodes[slot].residual_mean
-        elif model.residual_path:
-            out[rows] += scores
-    return out
+    """Predict every row of ``X``: the ``predictions`` of ``route_batch``."""
+    return route_batch(model, X).predictions
 
 
 @dataclass
 class Routing:
-    """One routing pass over the rows of ``X``: ``predictions`` equal to
-    ``predict_batch``'s bit for bit, each row's leaf slot in ``leaves``,
+    """One routing pass over the rows of ``X``: ``predictions`` (what
+    ``predict_batch`` returns), each row's leaf slot in ``leaves``,
     and in ``scores`` (rows x fitted depth) the projection scores along
     its path: row i's entry at column k is the score of its path node at
     depth k, for k below its leaf's depth (0.0 beyond). ``paths`` maps
@@ -942,11 +937,14 @@ class Routing:
 
 def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
     """Route the rows of ``X`` once and keep what ``predict_batch`` and
-    ``decision_paths`` read from the walk."""
+    ``decision_paths`` read from the walk. With ``residual_path`` on, a
+    row's prediction is the sum of the projection scores along its path,
+    root first from 0.0, plus its leaf's value; otherwise the leaf value."""
     X = np.asarray(X, dtype=np.float64)
     predictions = np.zeros(X.shape[:1])
     leaves = np.zeros(X.shape[:1], dtype=np.intp)
-    scores = np.zeros(X.shape[:1] + (model.fitted_depth,))
+    # depth-major, so that each node writes its rows into one contiguous row
+    scores = np.zeros((model.fitted_depth,) + X.shape[:1])
     paths = {0: ()}
     for slot, rows, _, _, node_scores in _walk(model, X):
         node = model.nodes[slot]
@@ -956,9 +954,9 @@ def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
             continue
         if model.residual_path:
             predictions[rows] += node_scores
-        scores[rows, node.depth] = node_scores
+        scores[node.depth][rows] = node_scores
         paths[node.left] = paths[node.right] = paths[slot] + (slot,)
-    return Routing(predictions, leaves, scores, paths)
+    return Routing(predictions, leaves, scores.T, paths)
 
 
 def decision_paths(model: ObliqueTreeModel, X: np.ndarray) -> list:

@@ -121,6 +121,23 @@ class TestTrainPredict:
         assert f"error: lambda grid entry {entry} is not a finite nonnegative number" in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("method", ["fc_odt", "cart"])
+    @pytest.mark.parametrize("folds", ["1", "1000"])
+    def test_bad_folds_refused_before_any_fit(self, tmp_path, sim_csv, capsys, monkeypatch,
+                                              folds, method):
+        # cart takes no lambda and fits no fold, but its --folds is checked all the same
+        def no_fits(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr("fcodt.cli.grid_search_lambda", no_fits)
+        monkeypatch.setattr("fcodt.evaluation.fit_method", no_fits)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--drop", "f", "--method", method,
+                   "--lambda", "cv", "--folds", folds, "--out", str(model_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --folds must be between 2 and the table's 300 rows, got {folds}\n"
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("grid, entry", [("0.1,,1", "''"), ("0.1,abc", "'abc'"),
                                              ("", "''")])
     def test_malformed_grid_names_flag_and_entry(self, tmp_path, sim_csv, capsys, grid,

@@ -9,7 +9,6 @@ from oracles import csv_reference
 from fcodt import datasets
 from fcodt.datasets import (
     Dataset,
-    csv_matrix,
     dataset_to_csv,
     fetch_dataset,
     gen_sim1,
@@ -264,7 +263,7 @@ class TestCsvBlocks:
         assert np.array_equal(_bits(ds.features), _bits(table[:, :4]))
         assert np.array_equal(_bits(ds.targets), _bits(table[:, 4]))
         assert np.signbit(table).any()  # -0.0 survives
-        assert np.array_equal(_bits(csv_matrix(text)), _bits(table))
+        assert np.array_equal(_bits(parse_csv(text, None).features), _bits(table))
 
     def test_headerless_with_drop(self):
         text = _random_table(np.random.default_rng(12), self.N_ROWS, 4, header=False)
@@ -299,7 +298,7 @@ class TestCsvBlocks:
             parse_csv(text, target_column="y")
         assert str(got.value) == message
         with pytest.raises(ValueError) as got:
-            csv_matrix(text)
+            parse_csv(text, None)
         assert str(got.value) == message
 
     def test_score_table_bitwise(self):

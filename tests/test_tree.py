@@ -190,6 +190,40 @@ class TestTieAwareSort:
                                       np.argsort(X[:, 0], kind="stable"))
 
 
+class _TiesLastRowFirst:
+    """numpy, except that a kind-less ``argsort`` of a 1-d array returns
+    tied keys last row first: still an ascending order, and one that
+    another CPU's sort kernel may return."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(a, *args, **kwargs):
+        a = np.asarray(a)
+        if args or kwargs or a.ndim != 1:
+            return np.argsort(a, *args, **kwargs)
+        return a.shape[0] - 1 - np.argsort(a[::-1], kind="stable")
+
+
+class TestSortKernelInvariance:
+    """Every learner's model is the same whichever order numpy's default
+    sort gives tied scores: integer features tie at every node, and so do
+    the ridge projections of few distinct rows."""
+
+    @pytest.mark.parametrize("levels", [2, 5, 20])
+    @pytest.mark.parametrize("method", sorted(tree.METHODS))
+    def test_model_unchanged_by_tie_order(self, monkeypatch, method, levels):
+        rng = np.random.default_rng(levels)
+        X = rng.integers(0, levels, size=(600, 3)).astype(np.float64)
+        y = X @ [1.0, -2.0, 0.5] + np.sin(X[:, 0] * X[:, 1]) + rng.normal(size=600)
+        data = Dataset(X, y)
+        crit = SplitCriteria(max_depth=4)
+        expected = model_to_text(tree.fit_method(method, data, 0.01, crit))
+        monkeypatch.setattr(tree, "np", _TiesLastRowFirst())
+        assert model_to_text(tree.fit_method(method, data, 0.01, crit)) == expected
+
+
 class TestDepthPrefix:
     """Growing deeper only adds levels: each internal node of a depth-d
     tree is the node in the same slot of the depth-6 tree (projection
