@@ -2,7 +2,10 @@
 
 Randomness policy: every generator takes an explicit seed and draws from a
 named PCG64 stream; normal deviates come from a Box-Muller transform of
-uniforms so streams replicate bit-for-bit across platforms.
+uniforms. The uniform stream is the same on every platform, but numpy's
+``log1p``, ``cos`` and ``exp`` may round differently in the last place on
+CPUs with different SIMD kernels, so a simulated table (and every fit on
+it) is byte-identical across reruns on one machine, not across machines.
 """
 
 from __future__ import annotations
@@ -90,7 +93,10 @@ def normal_from_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normals via Box-Muller on two uniform draws.
 
     Consumes a fixed number of uniforms per call, so the stream is
-    platform-independent and replayable.
+    replayable: the same seed gives the same bytes on one machine. The
+    uniforms are the same everywhere, but the transform's ``log1p`` and
+    ``cos`` go through numpy's SIMD kernels, which can round differently
+    in the last place on another CPU.
     """
     u = rng.random((2, size))
     r = np.sqrt(-2.0 * np.log1p(-u[0]))

@@ -34,11 +34,11 @@ threshold searches run as batches. Only the split search differs
 (the best single column by ``best_threshold``, the ``cart`` baseline).
 ``METHODS`` names each learner of the comparison by its settings of that
 loop, and ``fit_method(_many)`` fits one by name.
-Every prediction goes through one router (``_walk``), which passes each
-node's scores down the path: ``route_batch`` (and ``predict_batch``,
-``predict`` and ``decision_path(s)`` through it) and
-``replay_training_data`` only read what it yields. Models load only
-when their nodes form one tree.
+Every prediction goes through one router (``_walk``): ``route_batch``
+(and ``predict_batch``, ``predict`` and ``decision_path(s)`` through it)
+and ``replay_training_data`` only read what it yields. It and ``_grow``
+pass a node's inputs to its children by one child step
+(``_child_inputs``). Models load only when their nodes form one tree.
 """
 
 from __future__ import annotations
@@ -130,13 +130,28 @@ class SplitResult:
 
 
 def concat_feature(X: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
-    """Append one column to a feature matrix."""
+    """Append one column to a feature matrix: ``_child_inputs``, checked."""
     X = np.asarray(X, dtype=np.float64)
     col = np.asarray(new_feature, dtype=np.float64).reshape(-1)
     if col.shape[0] != X.shape[0]:
         raise ValueError(
             f"new feature has length {col.shape[0]} but matrix has {X.shape[0]} rows")
-    return np.hstack([X, col[:, None]])
+    return _child_inputs(X, None, col, concatenate=True, residual_path=False)[0]
+
+
+def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool, rows=None):
+    """The one child step: a split node's features ``X`` with its ``scores``
+    appended when ``concatenate``, its ``incoming`` targets less them when
+    ``residual_path`` (None stays None); with ``rows``, only those rows."""
+    if rows is not None:
+        scores = scores.take(rows)
+        X = None if X is None else X.take(rows, axis=0)
+        incoming = None if incoming is None else incoming.take(rows)
+    if X is not None and concatenate:
+        X = np.concatenate((X, scores[:, None]), axis=1)
+    if incoming is not None and residual_path:
+        incoming = incoming - scores
+    return X, incoming
 
 
 def _sort_scores(s: np.ndarray):
@@ -410,9 +425,8 @@ def _residual_cuts(scores: list, features: list, residuals: list,
     ones = np.ones(sizes.max())
     for j, X in enumerate(features):
         n = sizes[j]
-        gathered = _WORK.array("scratch", (n, p))
-        np.take(X, orders[j], axis=0, out=gathered)
-        np.subtract(gathered, ones[:n] @ X / n, out=Z[offsets[j]:offsets[j] + n, 1:-1])
+        np.subtract(X.take(orders[j], axis=0), ones[:n] @ X / n,
+                    out=Z[offsets[j]:offsets[j] + n, 1:-1])
 
     decrease = _WORK.array("decrease", (span + 1,))
     decrease[:] = -np.inf
@@ -492,11 +506,9 @@ def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
             # both anchors of a pair lie in one node
             sel = np.concatenate((left[i:i + chunk], right[i:i + chunk]))
             c = sel.shape[0] // 2
-            gram = _WORK.array("sides", (2 * c, q, q))
-            np.take(grid, prefix[sel], axis=0, out=gram)
+            gram = grid.take(prefix[sel], axis=0)
             np.subtract(grid.take(top[k[sel[c:]]], axis=0), gram[c:], out=gram[c:])
-            rows = _WORK.array("scratch", (2 * c, width, q))
-            np.take(Z, row_index[:, i:i + c].reshape(2 * c, width), axis=0, out=rows)
+            rows = Z.take(row_index[:, i:i + c].reshape(2 * c, width), axis=0)
             out[:, i:i + c] = _innovations(gram, node_lam[sel], node_tau[sel],
                                            rows).reshape(2, c, width + 1)
         return out
@@ -806,21 +818,11 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
                     left=left_slot,
                     right=left_slot + 1,
                 )
-                p = X_t.shape[1]
                 for slot_c, rows in ((left_slot, split.left_indices),
                                      (left_slot + 1, split.right_indices)):
-                    s_c = split.scores[rows]
-                    X_c = None
-                    if searched(depth + 1, rows.shape[0]):
-                        # the child's rows of [X_t, scores] (with concatenation)
-                        X_c = np.empty((rows.shape[0], p + concatenate))
-                        np.take(X_t, rows, axis=0, out=X_c[:, :p])
-                        if concatenate:
-                            X_c[:, p] = s_c
-                    y_c = y_t[rows]
-                    if residual_path:
-                        y_c -= s_c
-                    next_level.append((slot_c, X_c, y_c))
+                    next_level.append((slot_c,) + _child_inputs(
+                        X_t if searched(depth + 1, rows.shape[0]) else None, y_t,
+                        split.scores, concatenate, residual_path, rows))
             levels[i] = next_level
         depth += 1
     return out
@@ -896,10 +898,8 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
             continue
         scores = rep @ node.projection[:-1] + node.projection[-1]
         yield slot, rows, rep, incoming, scores
-        if model.concatenate:
-            rep = np.hstack([rep, scores[:, None]])
-        if incoming is not None and model.residual_path:
-            incoming = incoming - scores
+        rep, incoming = _child_inputs(rep, incoming, scores, model.concatenate,
+                                      model.residual_path)
         left = scores < node.threshold
         for child, side in ((node.left, left), (node.right, ~left)):
             child_rows = rows[side]

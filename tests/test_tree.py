@@ -7,6 +7,7 @@ from fcodt import tree
 from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.datasets import Dataset
 from fcodt.evaluation import SIM_GENERATORS
+from fcodt.linalg import solve_ridge
 from fcodt.tree import (
     LeafNode,
     ObliqueNode,
@@ -729,3 +730,31 @@ class TestRouterConsistency:
         model, _ = depth2_cart()
         assert predict_batch(model, np.zeros((0, 4))).shape == (0,)
         assert tree.decision_paths(model, np.zeros((0, 4))) == []
+
+
+class TestReplayRebuildsGrownInputs:
+    """Growth and routing pass a split node's features and targets to its
+    children by one step, so replaying the canonically ordered training
+    table gives every internal node the inputs it was grown from: their
+    ridge fit is the node's projection, bit for bit."""
+
+    @pytest.mark.parametrize("residual_path", [False, True])
+    @pytest.mark.parametrize("concatenate", [False, True])
+    @pytest.mark.parametrize("sim", sorted(SIM_GENERATORS))
+    def test_ridge_fit_of_each_replayed_node_is_its_projection(
+            self, sim, concatenate, residual_path):
+        data = SIM_GENERATORS[sim](400, 0.5, 3)
+        order = tree._canonical_order(data.features, data.targets)
+        canonical = Dataset(data.features[order], data.targets[order])
+        checked = 0
+        for lam in (1e-4, 0.01, 1.0):
+            model = fit_fc_odt(data, lam, SplitCriteria(max_depth=5),
+                               concatenate=concatenate, residual_path=residual_path)
+            for slot, view in replay_training_data(model, canonical).items():
+                node = model.nodes[slot]
+                if isinstance(node, ObliqueNode):
+                    fit = solve_ridge(view.features, view.incoming, model.lam)
+                    assert (np.append(fit.weights, fit.intercept).tobytes()
+                            == node.projection.tobytes()), (lam, slot)
+                    checked += 1
+        assert checked >= 30
