@@ -20,9 +20,9 @@ import numpy as np
 
 from . import evaluation
 from .datasets import (
+    _csv,
+    _fmt,
     dataset_to_csv,
-    gen_sim1,
-    gen_sim2,
     load_manifest,
     manifest_file,
     read_table,
@@ -143,16 +143,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _explain_lines(model, routing) -> list:
-    """One ``prediction,path_nodes,path_scores`` line per routed row:
-    node ids and scores root first, ``;``-separated."""
+def _explain_rows(model, routing) -> list:
+    """One ``(prediction, path_nodes, path_scores)`` row of cells per
+    routed row: node ids and scores root first, ``;``-separated."""
     depths = np.array([node.depth for node in model.nodes])[routing.leaves]
     # row-major: each row's prediction, then its path scores
     kept = np.arange(routing.scores.shape[1] + 1) <= depths[:, None]
-    cells = iter(map("{:.17g}".format,
-                     np.column_stack([routing.predictions, routing.scores])[kept].tolist()))
+    cells = iter(map(_fmt, np.column_stack([routing.predictions, routing.scores])[kept].tolist()))
     nodes = {slot: ";".join(map(str, path)) for slot, path in routing.paths.items()}
-    return [f"{next(cells)},{nodes[leaf]},{';'.join(islice(cells, depth))}"
+    return [(next(cells), nodes[leaf], ";".join(islice(cells, depth)))
             for leaf, depth in zip(routing.leaves.tolist(), depths.tolist())]
 
 
@@ -166,20 +165,19 @@ def cmd_predict(args) -> int:
               file=sys.stderr)
         return 1
     if args.explain:
-        lines = ["prediction,path_nodes,path_scores"]
-        if X.shape[0]:
-            lines.extend(_explain_lines(model, route_batch(model, X)))
+        header = ("prediction", "path_nodes", "path_scores")
+        rows = _explain_rows(model, route_batch(model, X)) if X.shape[0] else []
     else:
+        header = ("prediction",)
         preds = predict_batch(model, X) if X.shape[0] else np.zeros(0)
-        lines = ["prediction", *map("{:.17g}".format, preds.tolist())]
-    atomic_write(args.out, "\n".join(lines) + "\n")
+        rows = zip(map(_fmt, preds.tolist()))  # one cell per row
+    atomic_write(args.out, _csv(header, rows))
     print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    gen = {"sim1": gen_sim1, "sim2": gen_sim2}[args.which]
-    data = gen(args.n, args.sigma, args.seed)
+    data = evaluation.SIM_GENERATORS[args.which](args.n, args.sigma, args.seed)
     atomic_write(args.out, dataset_to_csv(data, include_clean=True))
     print(f"wrote {data.n} rows to {args.out}")
     return 0
@@ -251,6 +249,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     config, manifest_path, config_sha = load_run_config(args.config)
     manifest_path = args.manifest or os.environ.get(MANIFEST_ENV) or manifest_path
     manifest = load_manifest(manifest_path) if manifest_path else None
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="generate a simulated dataset CSV")
-    p.add_argument("--which", choices=["sim1", "sim2"], required=True)
+    p.add_argument("--which", choices=list(evaluation.SIM_GENERATORS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)

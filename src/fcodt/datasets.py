@@ -1,5 +1,9 @@
 """Dataset container, simulated generators, parsers, and split helpers.
 
+Text is spelled here for the whole package: ``_fmt`` writes a float at 17
+significant digits, and ``_csv`` joins a CSV document. Models, records,
+predictions and tables are written through them and read back exactly.
+
 Randomness policy: every generator takes an explicit seed and draws from a
 named PCG64 stream; normal deviates come from a Box-Muller transform of
 uniforms. The uniform stream is the same on every platform, but numpy's
@@ -130,8 +134,8 @@ def sim2_function(X: np.ndarray) -> np.ndarray:
 def _gen_sim(name: str, fn, n: int, sigma: float, seed: int) -> Dataset:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     rng = np.random.default_rng(seed)
     X = rng.random((n, 10)) * 6.0 - 3.0
     f = fn(X)
@@ -149,6 +153,21 @@ def gen_sim2(n: int, sigma: float, seed: int) -> Dataset:
     return _gen_sim("sim2", sim2_function, n, sigma, seed)
 
 
+# the one spelling of a float in text: 17 significant digits, which
+# float() reads back to the same bits
+_fmt = "{:.17g}".format
+
+
+def _csv(header, rows) -> str:
+    """A CSV document: the ``header`` cells, then each row's cells."""
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+def _lines(source) -> list:
+    """The lines of a table source, a string or an iterable of lines (an open file)."""
+    return source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+
+
 def parse_libsvm(source, expected_dim: int | None = None,
                  name: str = "libsvm") -> Dataset:
     """Parse sparse `target index:value ...` lines into a dense dataset.
@@ -156,10 +175,7 @@ def parse_libsvm(source, expected_dim: int | None = None,
     Indices are 1-based and must be strictly increasing within a line;
     absent indices are zero-filled.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    lines = _lines(source)
     targets = []
     rows = []
     max_dim = expected_dim or 0
@@ -215,21 +231,12 @@ def _looks_numeric(cell: str) -> bool:
         return False
 
 
-# Body lines converted by one numpy call. Whole-table conversion would
-# hold every cell's string at once (+11% peak memory on a 20,000-row
-# table); a block of this size keeps that to a few MB.
-_CSV_BLOCK_ROWS = 2048
-
-
 def _split_csv(source):
     """(lines, body, header, ncols) of a CSV source: all its lines, the
     non-blank lines after the header, the header cells (None when every
     cell of the first non-blank line reads as a number), and the cell
     count of that first line (0 when every line is blank)."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    lines = _lines(source)
     body = [ln for ln in lines if ln.strip()]
     if not body:
         return lines, body, None, 0
@@ -244,53 +251,34 @@ def _line_number(lines, k: int) -> int:
     return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
 
 
-def _convert_block(block, rows: np.ndarray) -> bool:
-    """Fill ``rows`` with the cells of the ``block`` lines by one numpy
-    conversion; False, with ``rows`` untouched, when a line does not have
-    ``rows.shape[1]`` cells or a cell does not convert. The block's cell
-    strings are freed when the call returns, before the next block is
-    split."""
-    ncols = rows.shape[1]
-    # a "\n" cell joins the lines. When a ragged line keeps the count
-    # right, a joining "\n" is left among the cells, which never converts.
-    cells = ",\n,".join(block).split(",")
-    if len(cells) != len(block) * (ncols + 1) - 1:
-        return False
-    del cells[ncols::ncols + 1]
-    try:
-        rows[:] = np.array(cells, dtype=np.float64).reshape(rows.shape)
-    except ValueError:
-        return False
-    return True
-
-
 def _csv_values(lines, body, skip: int, ncols: int, used) -> np.ndarray:
     """The ``(len(body), ncols)`` float64 values of the ``body`` lines,
     each cell as Python ``float()`` reads it; ``skip`` non-blank lines
     (the header) precede the body in ``lines``.
 
-    Each block of ``_CSV_BLOCK_ROWS`` lines whose comma counts all match
-    is converted by one numpy call, which reads every ``str`` with
-    ``float()``. A block with a ragged line, or whose conversion raises,
-    is read cell by cell, which raises the first error in file order.
-    Once the whole table has converted, the first non-finite cell of the
-    ``used`` columns in row-major order is rejected."""
-    table = np.empty((len(body), ncols))
-    for start in range(0, len(body), _CSV_BLOCK_ROWS):
-        block = body[start:start + _CSV_BLOCK_ROWS]
-        rows = table[start:start + len(block)]
-        if _convert_block(block, rows):
-            continue
-        for i, line in enumerate(block):
+    numpy's reader converts the whole body at once; it reads the same
+    bits as ``float()`` but refuses some cells that ``float()`` reads
+    (``1_000``). When it raises, or a ragged line gives another shape,
+    the body is read cell by cell, which raises the first error in file
+    order. Then the first non-finite cell of the ``used`` columns in
+    row-major order is rejected."""
+    try:
+        # no comment character: "1#2" is a malformed cell, not 1
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(body), ncols):
+        table = np.empty((len(body), ncols))
+        for i, line in enumerate(body):
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != ncols:
-                rowno = _line_number(lines, skip + start + i)
+                rowno = _line_number(lines, skip + i)
                 raise ValueError(f"row {rowno}: expected {ncols} cells, got {len(cells)}")
             for j, cell in enumerate(cells):
                 try:
-                    rows[i, j] = float(cell)
+                    table[i, j] = float(cell)
                 except ValueError:
-                    rowno = _line_number(lines, skip + start + i)
+                    rowno = _line_number(lines, skip + i)
                     raise ValueError(f"row {rowno}, column {j + 1}: non-numeric cell {cell!r}")
     bad = np.argwhere(~np.isfinite(table[:, used]))
     if bad.size:
@@ -343,20 +331,14 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
 
 def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
     """Serialize with 17 significant digits so values round-trip exactly."""
-    d = data.dim
-    cols = [f"x{j + 1}" for j in range(d)] + ["y"]
+    header = [f"x{j + 1}" for j in range(data.dim)] + ["y"]
+    columns = [data.features, data.targets[:, None]]
     if include_clean:
         if data.clean_targets is None:
             raise ValueError("dataset has no clean targets to include")
-        cols.append("f")
-    out = [",".join(cols)]
-    for i in range(data.n):
-        row = [format(v, ".17g") for v in data.features[i]]
-        row.append(format(data.targets[i], ".17g"))
-        if include_clean:
-            row.append(format(data.clean_targets[i], ".17g"))
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+        header.append("f")
+        columns.append(data.clean_targets[:, None])
+    return _csv(header, (map(_fmt, row) for row in np.hstack(columns).tolist()))
 
 
 def train_test_split(data: Dataset, train_fraction: float, seed: int) -> SplitAssignment:
@@ -402,13 +384,37 @@ def minmax_scale(train: Dataset, others: tuple[Dataset, ...] = ()) -> tuple[Data
     return tuple(apply(ds) for ds in (train, *others))
 
 
+# what each manifest entry key must hold, and the test of it
+_ENTRY_KEYS = {
+    "path": ("a string", lambda v: isinstance(v, str)),
+    "format": ("'csv' or 'libsvm'", lambda v: v in ("csv", "libsvm")),
+    "target": ("a string or an integer",
+               lambda v: isinstance(v, (str, int)) and not isinstance(v, bool)),
+    "n_features": ("a positive integer",
+                   lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0),
+    "url": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "sha256": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def load_manifest(path: str) -> dict:
-    """Manifest maps dataset name to {path, format, target?, url?, sha256?,
-    n_features?}."""
+    """Manifest maps dataset name to {path, format?, target?, url?,
+    sha256?, n_features?}. An entry that is not an object, lacks ``path``
+    or holds a value of the wrong kind raises a ValueError naming the
+    dataset and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object keyed by dataset name")
+    for name, entry in manifest.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest entry {name!r} must be an object, got {entry!r}")
+        if "path" not in entry:
+            raise ValueError(f"manifest entry {name!r} has no path")
+        for key, (kind, valid) in _ENTRY_KEYS.items():
+            if key in entry and not valid(entry[key]):
+                raise ValueError(f"manifest entry {name!r}: {key} must be {kind}, "
+                                 f"got {entry[key]!r}")
     return manifest
 
 

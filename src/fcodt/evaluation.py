@@ -28,6 +28,8 @@ import numpy as np
 
 from .datasets import (
     Dataset,
+    _csv,
+    _fmt,
     gen_sim1,
     gen_sim2,
     kfold_indices,
@@ -38,7 +40,6 @@ from .datasets import (
 from .tree import (
     METHODS,
     SplitCriteria,
-    _fmt,
     _number,
     fit_method,
     fit_method_many,
@@ -460,11 +461,6 @@ def rank_sum_test(sample_a, sample_b):
     z = (w - mu - math.copysign(0.5, w - mu)) / math.sqrt(sigma2)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return w, min(1.0, p)
-
-
-def _csv(header, rows) -> str:
-    """A CSV document: the ``header`` cells, then each row's cells."""
-    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
 
 
 def records_to_csv(records) -> str:

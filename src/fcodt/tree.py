@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, _fmt
 from .linalg import SingularSystemError, solve_ridge_many
 
 
@@ -996,10 +996,6 @@ def replay_training_data(model: ObliqueTreeModel, data: Dataset) -> dict[int, Re
 
 FORMAT_TAG = "fcodt-model"
 FORMAT_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # the header lines after the format line: each field's name and type, in order

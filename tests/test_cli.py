@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fcodt
-from fcodt import datasets, stumps
+from fcodt import datasets, evaluation, stumps
 from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.cli import load_run_config, main
 from fcodt.tree import SplitCriteria, fit_fc_odt, model_from_text, model_to_text, predict_batch
@@ -45,6 +45,24 @@ class TestSimulate:
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[yi] == cells[fi]
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_refused(self, tmp_path, capsys, sigma):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--which", "sim1", "--n", "5", "--sigma", sigma,
+                   "--out", str(out)) == 1
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generators_come_from_evaluation(self, tmp_path, monkeypatch):
+        # a generator in evaluation.SIM_GENERATORS is a --which choice
+        monkeypatch.setitem(evaluation.SIM_GENERATORS, "sim9",
+                            lambda n, sigma, seed: datasets.gen_sim2(n, sigma, seed + 1))
+        out = tmp_path / "sim9.csv"
+        assert run("simulate", "--which", "sim9", "--n", "20", "--seed", "4",
+                   "--out", str(out)) == 0
+        assert out.read_text() == datasets.dataset_to_csv(datasets.gen_sim2(20, 0.01, 5),
+                                                          include_clean=True)
 
     def test_covers_depth_sweep_protocol(self, tmp_path):
         out = tmp_path / "big.csv"
@@ -299,7 +317,7 @@ class TestTrainPredict:
         model_path = tmp_path / "model.txt"
         run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
             "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
-        table = datasets.gen_sim1(datasets._CSV_BLOCK_ROWS + 77, 0.1, 9)
+        table = datasets.gen_sim1(2048 + 77, 0.1, 9)
         data_path = tmp_path / "table.csv"
         if with_target:
             data_path.write_text(datasets.dataset_to_csv(table, include_clean=True))
@@ -486,6 +504,31 @@ class TestBenchCommand:
                    "--out", str(out_dir)) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["skipped"][0]["dataset"] == "housing"
+
+    @pytest.mark.parametrize("entry, message", [
+        ("data/abalone.libsvm", "manifest entry 'abalone' must be an object"),
+        ({"path": "abalone.libsvm", "n_features": "8"},
+         "manifest entry 'abalone': n_features must be a positive integer"),
+    ])
+    def test_malformed_manifest_refused_before_any_cell(self, tmp_path, capsys, entry, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"abalone": entry}))
+        cfg = write_config(tmp_path / "cfg.json", datasets=["sim1", "abalone"],
+                           repeats=1, max_depth=2)
+        out_dir = tmp_path / "bench"
+        assert run("bench", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "5"])
+    def test_alpha_outside_unit_interval_refused(self, tmp_path, capsys, alpha):
+        cfg = write_config(tmp_path / "cfg.json", methods=["fc_odt", "cart"],
+                           datasets=["sim1"], repeats=3, max_depth=2)
+        out_dir = tmp_path / "bench"
+        assert run("bench", "--config", str(cfg), "--alpha", alpha, "--out", str(out_dir)) == 1
+        assert "--alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_env_var_supplies_manifest(self, tmp_path, monkeypatch):
         data_file = tmp_path / "tiny.libsvm"

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +102,12 @@ class TestSimGenerators:
         z = normal_from_uniform(rng, 200000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("gen", [gen_sim1, gen_sim2])
+    def test_sigma_must_be_finite_and_nonnegative(self, gen, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            gen(5, sigma, 0)
 
 
 class TestParseLibsvm:
@@ -251,7 +259,7 @@ class TestCsvBlocks:
     """The block reader against the cell-by-cell reference reader, on
     tables that span at least three blocks."""
 
-    N_ROWS = 3 * datasets._CSV_BLOCK_ROWS + 123
+    N_ROWS = 3 * 2048 + 123
 
     @pytest.mark.parametrize("as_file", [False, True])
     def test_bitwise_equal_to_reference(self, as_file):
@@ -302,11 +310,95 @@ class TestCsvBlocks:
         assert str(got.value) == message
 
     def test_score_table_bitwise(self):
-        ds = gen_sim2(datasets._CSV_BLOCK_ROWS + 300, 0.01, 4)
+        ds = gen_sim2(2048 + 300, 0.01, 4)
         text = dataset_to_csv(ds, include_clean=True)
         back = parse_csv(text, "y", drop_columns=("f",))
         assert np.array_equal(_bits(back.features), _bits(ds.features))
         assert np.array_equal(_bits(back.targets), _bits(ds.targets))
+
+
+def _numpy_spellings_table(rng, n_rows, ncols):
+    """CSV text of ``n_rows`` random rows, each cell spelled in a way
+    numpy's reader accepts: repr, 17 or 4 significant digits, a leading
+    ``+``, an upper-case ``E``, and space or tab padding; CRLF endings and
+    blank lines."""
+    scales = 10.0 ** rng.integers(-300, 300, size=(n_rows, ncols))
+    values = rng.normal(size=(n_rows, ncols)) * scales
+    values[rng.random((n_rows, ncols)) < 0.02] = -0.0
+    values[rng.random((n_rows, ncols)) < 0.01] = 5e-324
+    spellings = (repr, "{:.17g}".format, "{:.3e}".format, "{:+.17g}".format,
+                 lambda v: repr(v).upper(), lambda v: f" {v!r}\t", lambda v: f"\t {v:.17g}  ")
+    lines = [",".join(f"x{j}" for j in range(ncols - 1)) + ",y"]
+    for row in values.tolist():
+        lines.append(",".join(spellings[k](v) for k, v in
+                              zip(rng.integers(len(spellings), size=ncols), row)))
+        if rng.random() < 0.01:
+            lines.append(" \t" if rng.random() < 0.5 else "")
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.fixture
+def loadtxt_shapes(monkeypatch):
+    """The shape of each table numpy's reader returns to ``parse_csv``, or
+    None for each one it refuses."""
+    shapes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            table = loadtxt(*args, **kwargs)
+        except ValueError:
+            shapes.append(None)
+            raise
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return shapes
+
+
+class TestCsvCells:
+    """Each cell reads as ``float()`` reads it, whether numpy's reader
+    converts the table or the cell-by-cell loop does."""
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_numpy_spellings_bitwise(self, loadtxt_shapes, as_file):
+        text = _numpy_spellings_table(np.random.default_rng(21), 3000, 4)
+        source = io.StringIO(text, newline="") if as_file else text
+        ds = parse_csv(source, target_column="y")
+        _, table = csv_reference(text)
+        assert loadtxt_shapes == [(3000, 4)]  # numpy's reader read it all
+        assert np.array_equal(_bits(ds.features), _bits(table[:, :3]))
+        assert np.array_equal(_bits(ds.targets), _bits(table[:, 3]))
+        assert np.signbit(table).any() and (table == 5e-324).any()
+
+    @pytest.mark.parametrize("cell", ["1_000", "١٢"])
+    def test_cells_numpy_refuses_take_the_loop(self, loadtxt_shapes, cell):
+        text = f"x,y\n1.5,2\n{cell},3\n"
+        ds = parse_csv(text, target_column="y")
+        assert loadtxt_shapes == [None]
+        assert np.array_equal(ds.features[:, 0], [1.5, float(cell)])
+
+    @pytest.mark.parametrize("target", ["y", None])
+    @pytest.mark.parametrize("layout", ["y\n{}\n", "x,y\n0,{}\n", "y,x\n{},0\n"],
+                             ids=["alone", "last", "first"])
+    @pytest.mark.parametrize("cell", ["1_000", "١٢", " 1.5 ", "\t2", "+inf", "-0.0", "5e-324",
+                                      "1e400", "0x10", "", "1#2", '"1"'])
+    def test_cell_read_as_float_reads_it(self, cell, layout, target):
+        text = layout.format(cell)
+        try:
+            header, expected = csv_reference(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_csv(text, target)
+            assert str(got.value) == str(exc)
+            return
+        ds = parse_csv(text, target)
+        y = header.index("y") if target else None
+        keep = [j for j in range(len(header)) if j != y]
+        assert np.array_equal(_bits(ds.features), _bits(expected[:, keep]))
+        if target:
+            assert np.array_equal(_bits(ds.targets), _bits(expected[:, y]))
 
 
 class TestSplits:
@@ -394,6 +486,41 @@ class TestManifest:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             load_from_manifest("mystery", {}, ".")
+
+    def test_repository_manifest_loads(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "configs", "datasets.json")
+        assert len(load_manifest(path)) == 8
+
+    def test_entry_values_of_every_allowed_kind(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        entries = {"a": {"path": "a.csv", "format": "csv", "target": 2},
+                   "b": {"path": "b.csv", "format": "csv", "target": "t", "url": None,
+                         "sha256": None},
+                   "c": {"path": "c.libsvm", "n_features": 3, "url": "http://x", "sha256": "ab"}}
+        path.write_text(json.dumps(entries))
+        assert load_manifest(str(path)) == entries
+
+    @pytest.mark.parametrize("entry, message", [
+        ("data/abalone.libsvm", " must be an object, got 'data/abalone.libsvm'"),
+        ({"format": "libsvm"}, " has no path"),
+        ({"path": 3}, ": path must be a string, got 3"),
+        ({"path": "a", "format": "arff"}, ": format must be 'csv' or 'libsvm', got 'arff'"),
+        ({"path": "a", "target": 1.5}, ": target must be a string or an integer"),
+        ({"path": "a", "target": None}, ": target must be a string or an integer"),
+        ({"path": "a", "target": True}, ": target must be a string or an integer"),
+        ({"path": "a", "n_features": "8"}, ": n_features must be a positive integer, got '8'"),
+        ({"path": "a", "n_features": 0}, ": n_features must be a positive integer"),
+        ({"path": "a", "n_features": 8.0}, ": n_features must be a positive integer"),
+        ({"path": "a", "n_features": True}, ": n_features must be a positive integer"),
+        ({"path": "a", "url": 5}, ": url must be a string or null"),
+        ({"path": "a", "sha256": ["ab"]}, ": sha256 must be a string or null"),
+    ])
+    def test_malformed_entry_refused(self, tmp_path, entry, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"good": {"path": "good.csv"}, "bad": entry}))
+        with pytest.raises(ValueError, match=re.escape(f"manifest entry 'bad'{message}")):
+            load_manifest(str(path))
 
     def test_fetch_requires_url(self, tmp_path):
         with pytest.raises(ValueError):
