@@ -249,8 +249,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not 0 < args.alpha < 1:
-        raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+    evaluation.check_alpha(args.alpha, "--alpha")
     config, manifest_path, config_sha = load_run_config(args.config)
     manifest_path = args.manifest or os.environ.get(MANIFEST_ENV) or manifest_path
     manifest = load_manifest(manifest_path) if manifest_path else None

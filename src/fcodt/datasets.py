@@ -397,13 +397,11 @@ _ENTRY_KEYS = {
 }
 
 
-def load_manifest(path: str) -> dict:
-    """Manifest maps dataset name to {path, format?, target?, url?,
-    sha256?, n_features?}. An entry that is not an object, lacks ``path``
-    or holds a value of the wrong kind raises a ValueError naming the
-    dataset and the key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+def check_manifest(manifest) -> dict:
+    """Return ``manifest``, a dict mapping dataset name to {path, format?,
+    target?, url?, sha256?, n_features?}. An entry that is not an object,
+    lacks ``path``, holds a key not in that list or a value of the wrong
+    kind raises a ValueError naming the dataset and the key."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object keyed by dataset name")
     for name, entry in manifest.items():
@@ -411,11 +409,22 @@ def load_manifest(path: str) -> dict:
             raise ValueError(f"manifest entry {name!r} must be an object, got {entry!r}")
         if "path" not in entry:
             raise ValueError(f"manifest entry {name!r} has no path")
+        unknown = [key for key in entry if key not in _ENTRY_KEYS]
+        if unknown:
+            raise ValueError(f"manifest entry {name!r}: unknown key {unknown[0]!r}; "
+                             f"known keys are {', '.join(_ENTRY_KEYS)}")
         for key, (kind, valid) in _ENTRY_KEYS.items():
             if key in entry and not valid(entry[key]):
                 raise ValueError(f"manifest entry {name!r}: {key} must be {kind}, "
                                  f"got {entry[key]!r}")
     return manifest
+
+
+def load_manifest(path: str) -> dict:
+    """The manifest in the JSON file at ``path``, checked by
+    ``check_manifest``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return check_manifest(json.load(fh))
 
 
 def sha256_file(path: str) -> str:

@@ -30,6 +30,7 @@ from .datasets import (
     Dataset,
     _csv,
     _fmt,
+    check_manifest,
     gen_sim1,
     gen_sim2,
     kfold_indices,
@@ -339,10 +340,12 @@ def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
     skipped because their files are missing. A real dataset is loaded
     once; a simulated one is drawn once per repeat. Returns (cells,
     skipped). Raises ValueError for a config value that every cell would
-    refuse."""
+    refuse, or for a manifest entry that ``check_manifest`` refuses."""
     config.criteria()
     if not 0 < config.train_fraction < 1:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
+    if manifest is not None:
+        check_manifest(manifest)
     cells = []
     skipped = []
     for name in config.datasets:
@@ -515,11 +518,20 @@ def aggregate_benchmark(records, reference: list[dict] | None = None):
     return table, ranks, per_repeat
 
 
+def check_alpha(alpha: float, name: str = "alpha"):
+    """Refuse a significance level ``alpha`` (called ``name`` in the
+    message) that does not lie strictly between 0 and 1, nan included."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {alpha}")
+
+
 def significance_markers(per_repeat: dict, reference_method: str = "fc_odt",
                          alpha: float = 0.1):
     """Two-sided rank-sum comparison of every method against the reference
     on each dataset: '+' when the reference is significantly better, '-'
-    when significantly worse, '' otherwise."""
+    when significantly worse, '' otherwise. Raises ValueError for an
+    ``alpha`` that ``check_alpha`` refuses."""
+    check_alpha(alpha)
     out = []
     datasets = sorted({d for d, _ in per_repeat})
     for dataset in datasets:

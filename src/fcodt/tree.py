@@ -37,8 +37,9 @@ loop, and ``fit_method(_many)`` fits one by name.
 Every prediction goes through one router (``_walk``): ``route_batch``
 (and ``predict_batch``, ``predict`` and ``decision_path(s)`` through it)
 and ``replay_training_data`` only read what it yields. It and ``_grow``
-pass a node's inputs to its children by one child step
-(``_child_inputs``). Models load only when their nodes form one tree.
+split a node's rows by one rule, left iff score < threshold, and pass the
+node's inputs to its children by one child step (``_child_inputs``).
+Models load only when their nodes form one tree.
 """
 
 from __future__ import annotations
@@ -139,14 +140,14 @@ def concat_feature(X: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
     return _child_inputs(X, None, col, concatenate=True, residual_path=False)[0]
 
 
-def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool, rows=None):
+def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool, side=None):
     """The one child step: a split node's features ``X`` with its ``scores``
     appended when ``concatenate``, its ``incoming`` targets less them when
-    ``residual_path`` (None stays None); with ``rows``, only those rows."""
-    if rows is not None:
-        scores = scores.take(rows)
-        X = None if X is None else X.take(rows, axis=0)
-        incoming = None if incoming is None else incoming.take(rows)
+    ``residual_path`` (None stays None); with the mask ``side``, its rows."""
+    if side is not None:
+        scores = scores.compress(side)
+        X = None if X is None else X.compress(side, axis=0)
+        incoming = None if incoming is None else incoming.compress(side)
     if X is not None and concatenate:
         X = np.concatenate((X, scores[:, None]), axis=1)
     if incoming is not None and residual_path:
@@ -605,10 +606,11 @@ def best_residual_threshold(projections: np.ndarray, features: np.ndarray,
 
 def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
                  criteria: SplitCriteria, finder: str) -> list:
-    """SplitResult or None for each (X_t, y_t) node of equal width, with
-    its own penalty and training-set size. ``finder`` names the search:
-    "mean" and "residual" ridge-fit a projection (as one batch) and pick
-    its threshold by ``best_threshold`` or, as one batch,
+    """None or (projection, threshold, gain, scores) for each (X_t, y_t)
+    node of equal width, with its own penalty and training-set size; the
+    projection holds weights then bias, as in ``ObliqueNode``. ``finder``
+    names the search: "mean" and "residual" ridge-fit a projection (as one
+    batch) and pick its threshold by ``best_threshold`` or, as one batch,
     ``best_residual_threshold``; "axis" runs ``best_threshold`` on every
     column (``_column_threshold``) and keeps the first best one as a unit
     projection with zero bias."""
@@ -633,23 +635,8 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
         else:
             found = [best_threshold(s, y_t, n_total, criteria)
                      for (_, y_t), (_, _, s), n_total in zip(nodes, fits, n_totals)]
-    out = []
-    for (weights, intercept, scores), hit in zip(fits, found):
-        if hit is None:
-            out.append(None)
-            continue
-        threshold, gain = hit
-        left = scores < threshold
-        out.append(SplitResult(
-            weights=weights,
-            intercept=intercept,
-            threshold=threshold,
-            gain=gain,
-            scores=scores,
-            left_indices=np.flatnonzero(left),
-            right_indices=np.flatnonzero(~left),
-        ))
-    return out
+    return [None if hit is None else (np.append(weights, intercept), *hit, scores)
+            for (weights, intercept, scores), hit in zip(fits, found)]
 
 
 def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,
@@ -663,8 +650,14 @@ def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,
     if X_t.shape[0] < criteria.min_samples_split:
         raise ValueError(
             f"node has {X_t.shape[0]} rows, below min_samples_split={criteria.min_samples_split}")
-    return _split_nodes([(X_t, y_t)], np.array([float(lam)]), np.array([n_total]),
-                        criteria, "mean")[0]
+    found = _split_nodes([(X_t, y_t)], np.array([float(lam)]), np.array([n_total]),
+                         criteria, "mean")[0]
+    if found is None:
+        return None
+    projection, threshold, gain, scores = found
+    left = scores < threshold
+    return SplitResult(projection[:-1], float(projection[-1]), threshold, gain, scores,
+                       np.flatnonzero(left), np.flatnonzero(~left))
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -808,21 +801,24 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
                         depth=depth, residual_mean=float(y_t.mean()),
                         sample_count=y_t.shape[0])
                     continue
+                projection, threshold, gain, scores = split
                 left_slot = len(model.nodes)
                 model.nodes.extend([None, None])
                 model.nodes[slot] = ObliqueNode(
                     depth=depth,
-                    projection=np.append(split.weights, split.intercept),
-                    threshold=split.threshold,
-                    gain=split.gain,
+                    projection=projection,
+                    threshold=threshold,
+                    gain=gain,
                     left=left_slot,
                     right=left_slot + 1,
                 )
-                for slot_c, rows in ((left_slot, split.left_indices),
-                                     (left_slot + 1, split.right_indices)):
+                left = scores < threshold  # the router's rule
+                n_left = np.count_nonzero(left)
+                for slot_c, side, n in ((left_slot, left, n_left),
+                                        (left_slot + 1, ~left, left.shape[0] - n_left)):
                     next_level.append((slot_c,) + _child_inputs(
-                        X_t if searched(depth + 1, rows.shape[0]) else None, y_t,
-                        split.scores, concatenate, residual_path, rows))
+                        X_t if searched(depth + 1, n) else None, y_t,
+                        scores, concatenate, residual_path, side))
             levels[i] = next_level
         depth += 1
     return out
@@ -845,7 +841,7 @@ def _row_batches(work: list):
 
 def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
                  finder: str) -> list:
-    """((tree, slot), SplitResult, None or exception) for each node of
+    """((tree, slot), ``_split_nodes`` entry or exception) for each node of
     ``batch``; when the batch fails, each tree's nodes are retried alone
     and a tree that still fails gets its exception. Nothing is raised."""
     def run(items):

@@ -218,8 +218,10 @@ class TestParseCsv:
         assert np.array_equal(ds.features, [[1.0]])
 
 
-def _cell(rng, value):
-    """One cell in a spelling ``float()`` reads back exactly."""
+def _cell(rng, value, underscores=True):
+    """One cell in a spelling ``float()`` reads back exactly; with
+    ``underscores`` one in six is ``1_000.5``, which numpy's reader
+    refuses, and without it that cell is spelled with a leading sign."""
     kind = rng.integers(6)
     if kind == 0:
         text = repr(value)
@@ -228,7 +230,7 @@ def _cell(rng, value):
     elif kind == 2:
         text = "%.3e" % value
     elif kind == 3:
-        text = "1_000.5"
+        text = "1_000.5" if underscores else format(value, "+.17g")
     elif kind == 4:
         text = "+" + repr(abs(value))
     else:
@@ -237,15 +239,16 @@ def _cell(rng, value):
     return pad[rng.integers(4)] + text + pad[rng.integers(4)]
 
 
-def _random_table(rng, n_rows, ncols, header=True):
+def _random_table(rng, n_rows, ncols, header=True, underscores=True):
     """CSV text of ``n_rows`` random rows with CRLF endings and blank
-    lines."""
+    lines; with ``underscores`` (see ``_cell``) only the cell-by-cell loop
+    reads it, without them numpy's reader does."""
     values = rng.normal(size=(n_rows, ncols)) * 10.0 ** rng.integers(-8, 9, size=(n_rows, ncols))
     values[rng.random((n_rows, ncols)) < 0.02] = -0.0
     values[rng.random((n_rows, ncols)) < 0.02] = 0.0
     lines = [",".join(f"x{j}" for j in range(ncols - 1)) + ",y"] if header else []
     for row in values:
-        lines.append(",".join(_cell(rng, v) for v in row.tolist()))
+        lines.append(",".join(_cell(rng, v, underscores) for v in row.tolist()))
         if rng.random() < 0.01:
             lines.append(" " if rng.random() < 0.5 else "")
     return "\r\n".join(lines) + "\r\n"
@@ -256,14 +259,20 @@ def _bits(a):
 
 
 class TestCsvBlocks:
-    """The block reader against the cell-by-cell reference reader, on
-    tables that span at least three blocks."""
+    """Both readers of ``parse_csv`` against the cell-by-cell reference
+    reader, on random tables of over 6,000 rows. Each test runs on a table
+    with ``1_000.5`` cells, which only the cell-by-cell loop reads, and on
+    one without them, which numpy's reader reads; the ``loadtxt_shapes``
+    spy tells which reader read each table."""
 
     N_ROWS = 3 * 2048 + 123
 
-    @pytest.mark.parametrize("as_file", [False, True])
-    def test_bitwise_equal_to_reference(self, as_file):
-        text = _random_table(np.random.default_rng(11), self.N_ROWS, 5)
+    @pytest.mark.parametrize("as_file, underscores",
+                             [(False, True), (True, True), (False, False), (True, False)],
+                             ids=["False", "True", "numpy-False", "numpy-True"])
+    def test_bitwise_equal_to_reference(self, loadtxt_shapes, as_file, underscores):
+        text = _random_table(np.random.default_rng(11), self.N_ROWS, 5,
+                             underscores=underscores)
         source = io.StringIO(text, newline="") if as_file else text
         ds = parse_csv(source, target_column="y")
         _, table = csv_reference(text)
@@ -272,28 +281,40 @@ class TestCsvBlocks:
         assert np.array_equal(_bits(ds.targets), _bits(table[:, 4]))
         assert np.signbit(table).any()  # -0.0 survives
         assert np.array_equal(_bits(parse_csv(text, None).features), _bits(table))
+        assert loadtxt_shapes == [None if underscores else table.shape] * 2
 
-    def test_headerless_with_drop(self):
-        text = _random_table(np.random.default_rng(12), self.N_ROWS, 4, header=False)
-        ds = parse_csv(text, target_column=0, drop_columns=(2,))
-        _, table = csv_reference(text)
-        assert np.array_equal(_bits(ds.features), _bits(table[:, [1, 3]]))
-        assert np.array_equal(_bits(ds.targets), _bits(table[:, 0]))
+    def test_headerless_with_drop(self, loadtxt_shapes):
+        for underscores in (True, False):
+            loadtxt_shapes.clear()
+            text = _random_table(np.random.default_rng(12), self.N_ROWS, 4, header=False,
+                                 underscores=underscores)
+            ds = parse_csv(text, target_column=0, drop_columns=(2,))
+            _, table = csv_reference(text)
+            assert np.array_equal(_bits(ds.features), _bits(table[:, [1, 3]]))
+            assert np.array_equal(_bits(ds.targets), _bits(table[:, 0]))
+            assert loadtxt_shapes == [None if underscores else table.shape]
 
-    @pytest.mark.parametrize("bad, where", [
+    BAD_LINES = [
         (["1,2,3"], "row {no}: expected 4 cells, got 3"),
-        # a short and a long line: the block's cell count is right
+        # a short and a long line: the table's cell count is right
         (["1,2,3", "1,2,3,4,5"], "row {no}: expected 4 cells, got 3"),
-        # a long line, then a short one further down the same block
+        # a long line, then a short one further down
         (["1,2,3,4,5", "1,2,3,4", "1,2,3"], "row {no}: expected 4 cells, got 5"),
         (["1,2,0x10,4"], "row {no}, column 3: non-numeric cell '0x10'"),
         (["1,2,3, -Infinity "], "row {no}, column 4: non-finite cell '-Infinity'"),
-    ], ids=["ragged", "short_then_long", "long_then_short", "non_numeric", "non_finite"])
-    def test_error_in_last_block_located(self, bad, where):
-        text = _random_table(np.random.default_rng(13), self.N_ROWS, 4)
+    ]
+    BAD_IDS = ["ragged", "short_then_long", "long_then_short", "non_numeric", "non_finite"]
+
+    @pytest.mark.parametrize(
+        "bad, where, underscores",
+        [case + (True,) for case in BAD_LINES] + [case + (False,) for case in BAD_LINES],
+        ids=BAD_IDS + [f"numpy-{name}" for name in BAD_IDS])
+    def test_error_in_last_block_located(self, loadtxt_shapes, bad, where, underscores):
+        text = _random_table(np.random.default_rng(13), self.N_ROWS, 4,
+                             underscores=underscores)
         lines = text.split("\r\n")
         assert sum(not ln.strip() for ln in lines) > 10  # blank lines the numbering counts
-        # a line in the last block, after some blank lines, with a non-blank successor
+        # a line near the end, after some blank lines, with a non-blank successor
         no = next(i for i in range(len(lines) - 10, 0, -1)
                   if lines[i - 1].strip() and lines[i].strip())
         lines[no - 1:no - 1 + len(bad)] = bad
@@ -308,6 +329,10 @@ class TestCsvBlocks:
         with pytest.raises(ValueError) as got:
             parse_csv(text, None)
         assert str(got.value) == message
+        # numpy's reader refuses a ragged or non-numeric line, and the loop
+        # names it; it reads a non-finite cell, and the finite check names it
+        numpy_reads = not underscores and "non-finite" in where
+        assert loadtxt_shapes == [(self.N_ROWS, 4) if numpy_reads else None] * 2
 
     def test_score_table_bitwise(self):
         ds = gen_sim2(2048 + 300, 0.01, 4)
@@ -520,6 +545,14 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"good": {"path": "good.csv"}, "bad": entry}))
         with pytest.raises(ValueError, match=re.escape(f"manifest entry 'bad'{message}")):
+            load_manifest(str(path))
+
+    def test_unknown_key_refused(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"abalone": {"path": "x.csv", "fromat": "csv"}}))
+        with pytest.raises(ValueError, match=re.escape(
+                "manifest entry 'abalone': unknown key 'fromat'; known keys are "
+                "path, format, target, n_features, url, sha256")):
             load_manifest(str(path))
 
     def test_fetch_requires_url(self, tmp_path):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,15 @@ class TestBenchmark:
         assert skipped[0]["dataset"] == "housing"
         assert {r.dataset for r in records} == {"sim1"}
 
+    @pytest.mark.parametrize("entry, message", [
+        ("data/abalone.libsvm", "manifest entry 'abalone' must be an object"),
+        ({"path": 5}, "manifest entry 'abalone': path must be a string, got 5"),
+    ], ids=["entry_not_an_object", "path_not_a_string"])
+    def test_malformed_manifest_refused(self, entry, message):
+        config = ExperimentConfig(datasets=("abalone",), repeats=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_benchmark(config, {"abalone": entry})
+
     def test_reference_rows_join_ranks(self):
         config = fast_config(methods=("fc_odt",), datasets=("sim1",))
         records, _ = run_benchmark(config)
@@ -388,6 +400,12 @@ class TestBenchmark:
         markers = {m["method"]: m["marker"] for m in significance_markers(per_repeat)}
         assert markers["cart"] == "+"
         assert markers["ridge_odt"] == ""
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 5.0], ids=["nan", "0", "1", "5"])
+    def test_significance_alpha_outside_unit_interval_refused(self, alpha):
+        per_repeat = {("d", "fc_odt"): [0.9, 0.91, 0.92], ("d", "cart"): [0.1, 0.11, 0.12]}
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            significance_markers(per_repeat, alpha=alpha)
 
 
 class TestRankSumTest:
