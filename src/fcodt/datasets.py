@@ -501,10 +501,11 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
 
 
 def load_from_manifest(name: str, manifest: dict, base_dir: str = ".") -> Dataset:
-    """Resolve and parse a named real-world dataset from its manifest entry."""
+    """Resolve and parse a named real-world dataset from its manifest
+    entry, which ``check_manifest`` checks first."""
     if name not in manifest:
         raise KeyError(f"dataset {name!r} not in manifest")
-    entry = manifest[name]
+    entry = check_manifest({name: manifest[name]})[name]
     path = manifest_file(entry, base_dir)
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file for {name!r} not found at {path}")

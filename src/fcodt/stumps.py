@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .linalg import predict_linear, solve_ridge_many
+from .linalg import solve_ridge_many
 from .tree import ObliqueNode, ObliqueTreeModel, replay_training_data
 
 # floor keeps child solves well-posed when the model was fit at lambda=0
@@ -47,12 +47,6 @@ class StumpBasis:
     coefficients: np.ndarray
     node_ids: list = field(default_factory=list)
     dropped: list = field(default_factory=list)
-
-
-def _check_diag_preconditions(model: ObliqueTreeModel):
-    if not (model.concatenate and model.residual_path):
-        raise ValueError(
-            "stump diagnostics require a model fit with concatenate and residual_path on")
 
 
 @dataclass
@@ -72,7 +66,9 @@ def _replay_fits(model: ObliqueTreeModel, data: Dataset) -> _Replay:
     """Replay ``data`` once and fit every node's original targets and
     every leaf's incoming residuals, one ``solve_ridge_many`` call per
     feature width; each solve equals ``solve_ridge`` on its own problem."""
-    _check_diag_preconditions(model)
+    if not (model.concatenate and model.residual_path):
+        raise ValueError(
+            "stump diagnostics require a model fit with concatenate and residual_path on")
     views = replay_training_data(model, data)
     lam = max(model.lam, _MIN_DIAG_LAMBDA)
     y = data.targets
@@ -86,7 +82,7 @@ def _replay_fits(model: ObliqueTreeModel, data: Dataset) -> _Replay:
     for batch in problems.values():
         solutions = solve_ridge_many([(X, t) for _, X, t in batch], [lam] * len(batch))
         for (key, X, _), sol in zip(batch, solutions):
-            preds[key] = predict_linear(sol, X)
+            preds[key] = X @ sol.weights + sol.intercept
     fits = {}
     path_prediction = np.zeros(data.n)
     for slot, view in views.items():
@@ -99,47 +95,22 @@ def _replay_fits(model: ObliqueTreeModel, data: Dataset) -> _Replay:
     return _Replay(views, fits, path_prediction)
 
 
-def _check_every_node_reached(model: ObliqueTreeModel, replay: _Replay):
+def _internal_fits(model: ObliqueTreeModel, replay: _Replay):
+    """Per internal node, in slot order: its slot, its own fit (``0.0`` at
+    the root, whose baseline is the zero function) and its children's
+    summed fit. Raises at once, before anything reads the targets, unless
+    some row of the replayed data reaches every node."""
     unreached = [slot for slot in range(len(model.nodes)) if slot not in replay.views]
     if unreached:
         raise ValueError(f"no row of the data reaches node {unreached[0]}")
-
-
-def _basis(model: ObliqueTreeModel, data: Dataset, replay: _Replay) -> StumpBasis:
-    _check_every_node_reached(model, replay)
     fits = replay.fits
-    n = data.n
-    y = data.targets
-    y_scale = max(1.0, float(np.sqrt(np.mean(y * y))))
-
-    columns = []
-    coefs = []
-    node_ids = []
-    dropped = []
-    for slot, node in enumerate(model.nodes):
-        if not isinstance(node, ObliqueNode):
-            continue
-        parent_fit = fits[slot] if slot != 0 else 0.0
-        delta = fits[node.left] + fits[node.right] - parent_fit
-        norm = float(np.sqrt(np.mean(delta * delta)))
-        # a vanishing norm means the children's fits add nothing beyond
-        # the parent's; normalizing would amplify solver noise into a
-        # garbage column, so the stump is dropped instead
-        if norm <= 1e-7 * y_scale:
-            dropped.append(slot)
-            continue
-        psi = delta / norm
-        columns.append(psi)
-        coefs.append(float(np.mean(y * psi)))
-        node_ids.append(slot)
-    stumps = np.column_stack(columns) if columns else np.zeros((n, 0))
-    return StumpBasis(stumps=stumps, coefficients=np.asarray(coefs),
-                      node_ids=node_ids, dropped=dropped)
+    return ((slot, fits[slot] if slot != 0 else 0.0, fits[node.left] + fits[node.right])
+            for slot, node in enumerate(model.nodes) if isinstance(node, ObliqueNode))
 
 
 def compute_stumps(model: ObliqueTreeModel, data: Dataset) -> StumpBasis:
     """Build the orthonormal stump basis on the model's training data."""
-    return _basis(model, data, _replay_fits(model, data))
+    return stump_diagnostics(model, data)[0]
 
 
 def path_linear_prediction(model: ObliqueTreeModel, data: Dataset) -> np.ndarray:
@@ -156,13 +127,35 @@ def path_linear_prediction(model: ObliqueTreeModel, data: Dataset) -> np.ndarray
 
 
 def stump_diagnostics(model: ObliqueTreeModel, data: Dataset) -> tuple[StumpBasis, float]:
-    """``compute_stumps`` and ``verify_orthogonal_expansion`` from one
-    replay of the data."""
+    """The stump basis (``compute_stumps``) and the gap of its expansion
+    (``verify_orthogonal_expansion``) from one replay of the data."""
     replay = _replay_fits(model, data)
-    basis = _basis(model, data, replay)
+    internal = _internal_fits(model, replay)  # checks reachability before y is read
+    y = data.targets
+    y_scale = max(1.0, float(np.sqrt(np.mean(y * y))))
+
+    columns = []
+    coefs = []
+    node_ids = []
+    dropped = []
+    for slot, parent_fit, child_fit in internal:
+        delta = child_fit - parent_fit
+        norm = float(np.sqrt(np.mean(delta * delta)))
+        # a vanishing norm means the children's fits add nothing beyond
+        # the parent's; normalizing would amplify solver noise into a
+        # garbage column, so the stump is dropped instead
+        if norm <= 1e-7 * y_scale:
+            dropped.append(slot)
+            continue
+        psi = delta / norm
+        columns.append(psi)
+        coefs.append(float(np.mean(y * psi)))
+        node_ids.append(slot)
+    stumps = np.column_stack(columns) if columns else np.zeros((data.n, 0))
+    basis = StumpBasis(stumps=stumps, coefficients=np.asarray(coefs),
+                       node_ids=node_ids, dropped=dropped)
     expansion = basis.stumps @ basis.coefficients
-    gap = float(np.max(np.abs(replay.path_prediction - expansion))) if data.n else 0.0
-    return basis, gap
+    return basis, float(np.max(np.abs(replay.path_prediction - expansion)))
 
 
 def verify_orthogonal_expansion(model: ObliqueTreeModel, data: Dataset) -> float:
@@ -185,18 +178,10 @@ def linear_impurity_decrease(model: ObliqueTreeModel, data: Dataset) -> dict[int
     linear predictions: the node's own full-target ridge fit as baseline
     (zero at the root) against the children's fits."""
     replay = _replay_fits(model, data)
-    _check_every_node_reached(model, replay)
-    fits = replay.fits
     y = data.targets
-    n = data.n
     out = {}
-    for slot, node in enumerate(model.nodes):
-        if not isinstance(node, ObliqueNode):
-            continue
+    for slot, parent_fit, child_fit in _internal_fits(model, replay):
         idx = replay.views[slot].indices
-        parent_pred = fits[slot][idx] if slot != 0 else 0.0
-        child_pred = (fits[node.left] + fits[node.right])[idx]
-        y_node = y[idx]
         out[slot] = float(
-            (np.sum((y_node - parent_pred) ** 2) - np.sum((y_node - child_pred) ** 2)) / n)
+            (np.sum((y - parent_fit)[idx] ** 2) - np.sum((y - child_fit)[idx] ** 2)) / data.n)
     return out

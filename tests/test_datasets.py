@@ -500,8 +500,26 @@ class TestManifest:
     def test_unknown_format_raises(self, tmp_path):
         (tmp_path / "tiny.arff").write_text("@relation tiny\n")
         manifest = {"tiny": {"path": "tiny.arff", "format": "arff"}}
-        with pytest.raises(ValueError, match="unknown dataset format 'arff'"):
+        with pytest.raises(ValueError, match=re.escape(
+                "manifest entry 'tiny': format must be 'csv' or 'libsvm', got 'arff'")):
             load_from_manifest("tiny", manifest, str(tmp_path))
+
+    def test_read_table_unknown_format_raises(self, tmp_path):
+        path = tmp_path / "tiny.arff"
+        path.write_text("@relation tiny\n")
+        with pytest.raises(ValueError, match="unknown dataset format 'arff'"):
+            datasets.read_table(str(path), "arff")
+
+    @pytest.mark.parametrize("entry, message", [
+        ("x.libsvm", " must be an object, got 'x.libsvm'"),
+        ({"path": 5}, ": path must be a string, got 5"),
+        ({"path": "x.csv", "fromat": "csv"}, ": unknown key 'fromat'; known keys are "
+                                             "path, format, target, n_features, url, sha256"),
+    ], ids=["not_an_object", "path_not_a_string", "unknown_key"])
+    def test_entry_checked_on_load(self, tmp_path, entry, message):
+        (tmp_path / "x.csv").write_text("a,y\n1,2\n")
+        with pytest.raises(ValueError, match=re.escape(f"manifest entry 'a'{message}")):
+            load_from_manifest("a", {"a": entry}, str(tmp_path))
 
     def test_missing_file_raises(self, tmp_path):
         manifest = {"gone": {"path": "nope.libsvm", "format": "libsvm"}}

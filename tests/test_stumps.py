@@ -45,18 +45,25 @@ class TestStumpBasis:
         basis = compute_stumps(model, ds)
         assert basis.stumps.shape == (ds.n, model.n_internal - len(basis.dropped))
 
-    def test_requires_residual_concat_flags(self):
+    @pytest.mark.parametrize("diagnostic", [
+        compute_stumps, stump_diagnostics, verify_orthogonal_expansion,
+        path_linear_prediction, linear_impurity_decrease], ids=lambda f: f.__name__)
+    def test_requires_residual_concat_flags(self, diagnostic):
         ds = random_dataset(seed=4)
         plain = fit_fc_odt(ds, 1e-8, SplitCriteria(max_depth=2),
                            concatenate=False, residual_path=False)
         with pytest.raises(ValueError):
-            compute_stumps(plain, ds)
+            diagnostic(plain, ds)
 
-    def test_data_missing_a_node_rejected(self):
+    @pytest.mark.parametrize("rows, node", [(1, 1), (0, 0)], ids=["one_row", "no_rows"])
+    @pytest.mark.parametrize("diagnostic", [
+        compute_stumps, stump_diagnostics, verify_orthogonal_expansion,
+        linear_impurity_decrease], ids=lambda f: f.__name__)
+    def test_data_missing_a_node_rejected(self, diagnostic, rows, node):
         model, ds = fitted(seed=3)
-        one_row = Dataset(ds.features[:1], ds.targets[:1])
-        with pytest.raises(ValueError, match="no row of the data reaches node"):
-            compute_stumps(model, one_row)
+        table = Dataset(ds.features[:rows], ds.targets[:rows])
+        with pytest.raises(ValueError, match=f"no row of the data reaches node {node}$"):
+            diagnostic(model, table)
 
     def test_single_split_matches_lstsq_oracle(self):
         # hand-sized single split: the root stump must equal the combined
