@@ -59,10 +59,19 @@ CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"manifes
 
 
 def atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` through a temp file in its directory and
+    a rename, so a reader sees the old file or the new one. The new file
+    has the mode ``open(path, "w")`` gives a new file: 0o666 less the
+    umask (``mkstemp`` alone would give 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # the umask can only be read by setting it; the stricter 0o077 is
+    # what any file made in between gets
+    umask = os.umask(0o077)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

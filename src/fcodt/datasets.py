@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -159,12 +161,20 @@ _fmt = "{:.17g}".format
 
 
 def _csv(header, rows) -> str:
-    """A CSV document: the ``header`` cells, then each row's cells."""
-    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+    """A CSV document: the ``header`` cells, then each row's cells. Each
+    row is joined into its line as it is drawn from ``rows``, so no more
+    than the lines and then the document are held; the trailing ``""``
+    ends the last line."""
+    return "\n".join(chain([",".join(header)], map(",".join, rows), [""]))
 
 
 def _lines(source) -> list:
-    """The lines of a table source, a string or an iterable of lines (an open file)."""
+    """The lines of a table source, a string or an iterable of lines (an
+    open file), without their line ends. A string is split by
+    ``str.splitlines``. An open file is taken one line at a time, so its
+    whole text is never held next to its lines; opened in ``open``'s
+    default newline mode, it ends lines at ``\\n``, ``\\r\\n`` or ``\\r``
+    only."""
     return source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
 
 
@@ -330,7 +340,10 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
 
 
 def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
-    """Serialize with 17 significant digits so values round-trip exactly."""
+    """Serialize with 17 significant digits so values round-trip exactly.
+    The table is converted to Python floats one row at a time, so beside
+    the one float64 copy of the table only the CSV lines and then the
+    document are held."""
     header = [f"x{j + 1}" for j in range(data.dim)] + ["y"]
     columns = [data.features, data.targets[:, None]]
     if include_clean:
@@ -338,7 +351,7 @@ def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
             raise ValueError("dataset has no clean targets to include")
         header.append("f")
         columns.append(data.clean_targets[:, None])
-    return _csv(header, (map(_fmt, row) for row in np.hstack(columns).tolist()))
+    return _csv(header, (map(_fmt, row.tolist()) for row in np.hstack(columns)))
 
 
 def train_test_split(data: Dataset, train_fraction: float, seed: int) -> SplitAssignment:
@@ -437,7 +450,9 @@ def sha256_file(path: str) -> str:
 
 def fetch_dataset(entry: dict, dest_path: str, timeout: float = 60.0) -> str:
     """Download a manifest entry's URL to dest_path, verifying a pinned
-    sha256 when present."""
+    sha256 when present. The body is streamed to ``<dest_path>.part``,
+    which is renamed to dest_path once complete and verified, and removed
+    on any failure."""
     # imported here, its one use: it pulls in http, email and ssl, which
     # would lengthen every import of the package
     import urllib.request
@@ -447,15 +462,18 @@ def fetch_dataset(entry: dict, dest_path: str, timeout: float = 60.0) -> str:
         raise ValueError("manifest entry has no url to fetch")
     os.makedirs(os.path.dirname(dest_path) or ".", exist_ok=True)
     tmp = dest_path + ".part"
-    with urllib.request.urlopen(url, timeout=timeout) as resp, open(tmp, "wb") as out:
-        out.write(resp.read())
-    pinned = entry.get("sha256")
-    if pinned:
-        got = sha256_file(tmp)
-        if got != pinned:
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp, open(tmp, "wb") as out:
+            shutil.copyfileobj(resp, out)
+        pinned = entry.get("sha256")
+        if pinned:
+            got = sha256_file(tmp)
+            if got != pinned:
+                raise ValueError(f"checksum mismatch for {url}: expected {pinned}, got {got}")
+        os.replace(tmp, dest_path)
+    finally:
+        if os.path.exists(tmp):
             os.remove(tmp)
-            raise ValueError(f"checksum mismatch for {url}: expected {pinned}, got {got}")
-    os.replace(tmp, dest_path)
     return dest_path
 
 
@@ -483,21 +501,25 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
     first field of each line, so a ``target`` other than "y" or None and
     any ``drop`` entry are refused; ``expected_dim`` bounds its feature
     indices. The dataset is named ``name``, by default the file's base
-    name without its extension."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    name without its extension.
+
+    The open file goes to the parser, which takes its lines one at a time
+    (see ``_lines``): the file's whole text is never held, only its lines
+    and the parsed table. So lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
+    and any other character, a form feed included, belongs to its line."""
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
-    if fmt == "libsvm":
-        if target not in ("y", None):
-            raise ValueError(f"target {target!r}: a libsvm table names no columns; "
-                             "its target is the first field of each line")
-        if drop:
-            raise ValueError(f"drop {list(drop)!r}: a libsvm table names no columns")
-        return parse_libsvm(text, expected_dim=expected_dim, name=name)
-    if fmt == "csv":
-        return parse_csv(text, _column(target), tuple(map(_column, drop)), name=name)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        if fmt == "libsvm":
+            if target not in ("y", None):
+                raise ValueError(f"target {target!r}: a libsvm table names no columns; "
+                                 "its target is the first field of each line")
+            if drop:
+                raise ValueError(f"drop {list(drop)!r}: a libsvm table names no columns")
+            return parse_libsvm(fh, expected_dim=expected_dim, name=name)
+        if fmt == "csv":
+            return parse_csv(fh, _column(target), tuple(map(_column, drop)), name=name)
+        raise ValueError(f"unknown dataset format {fmt!r}")
 
 
 def load_from_manifest(name: str, manifest: dict, base_dir: str = ".") -> Dataset:

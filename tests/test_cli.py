@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -63,6 +64,22 @@ class TestSimulate:
                    "--out", str(out)) == 0
         assert out.read_text() == datasets.dataset_to_csv(datasets.gen_sim2(20, 0.01, 5),
                                                           include_clean=True)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_outputs_take_plain_write_mode(self, tmp_path, umask):
+        # every output goes through atomic_write: a table and a model here
+        table, model, plain = (tmp_path / name for name in ("sim.csv", "model.txt", "plain"))
+        old = os.umask(umask)
+        try:
+            assert run("simulate", "--which", "sim1", "--n", "30", "--out", str(table)) == 0
+            assert run("train", "--data", str(table), "--drop", "f", "--max-depth", "1",
+                       "--out", str(model)) == 0
+            with open(plain, "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(path).st_mode) for path in (table, model, plain)]
+        assert modes == [0o666 & ~umask] * 3
 
     def test_covers_depth_sweep_protocol(self, tmp_path):
         out = tmp_path / "big.csv"

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import urllib.request
 
 import numpy as np
 import pytest
@@ -258,7 +260,7 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-class TestCsvBlocks:
+class TestCsvRandomTables:
     """Both readers of ``parse_csv`` against the cell-by-cell reference
     reader, on random tables of over 6,000 rows. Each test runs on a table
     with ``1_000.5`` cells, which only the cell-by-cell loop reads, and on
@@ -309,7 +311,7 @@ class TestCsvBlocks:
         "bad, where, underscores",
         [case + (True,) for case in BAD_LINES] + [case + (False,) for case in BAD_LINES],
         ids=BAD_IDS + [f"numpy-{name}" for name in BAD_IDS])
-    def test_error_in_last_block_located(self, loadtxt_shapes, bad, where, underscores):
+    def test_error_line_located(self, loadtxt_shapes, bad, where, underscores):
         text = _random_table(np.random.default_rng(13), self.N_ROWS, 4,
                              underscores=underscores)
         lines = text.split("\r\n")
@@ -424,6 +426,78 @@ class TestCsvCells:
         assert np.array_equal(_bits(ds.features), _bits(expected[:, keep]))
         if target:
             assert np.array_equal(_bits(ds.targets), _bits(expected[:, y]))
+
+
+class TestReadTableLines:
+    """``read_table`` reads a file as ``parse_csv`` and ``parse_libsvm``
+    read the open file: lines end at LF, CRLF or CR, and blank lines count
+    in the line numbers errors give."""
+
+    ENDINGS = pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+
+    @staticmethod
+    def _write(tmp_path, lines, newline, suffix=".csv"):
+        path = tmp_path / f"t{suffix}"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        return str(path)
+
+    @staticmethod
+    def _same(got, ref):
+        assert np.array_equal(_bits(got.features), _bits(ref.features))
+        assert np.array_equal(_bits(got.targets), _bits(ref.targets))
+        assert got.meta == ref.meta
+
+    @ENDINGS
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    def test_csv_same_bits_as_open_file(self, tmp_path, newline, header):
+        body = ["1,2", "", " ", "3.5,-0", "", "5e-324,1e308"]
+        path = self._write(tmp_path, ["", "x,y"] * header + body, newline)
+        target = "y" if header else 1
+        ds = datasets.read_table(path, "csv", target)
+        with open(path, encoding="utf-8") as fh:
+            self._same(ds, parse_csv(fh, target, name="t"))
+        assert np.array_equal(_bits(ds.features[:, 0]), _bits(np.array([1.0, 3.5, 5e-324])))
+        assert np.array_equal(_bits(ds.targets), _bits(np.array([2.0, -0.0, 1e308])))
+
+    @ENDINGS
+    @pytest.mark.parametrize("lines, message", [
+        (["", "x,y", "1,2", "", "foo,3"], "row 5, column 1: non-numeric cell 'foo'"),
+        (["x,y", "", "1,2", " ", "3"], "row 5: expected 2 cells, got 1"),
+        (["", "", "1,2", "", "3,inf"], "row 5, column 2: non-finite cell 'inf'"),
+    ], ids=["non_numeric", "ragged", "non_finite_headerless"])
+    def test_csv_error_after_blank_lines(self, tmp_path, newline, lines, message):
+        path = self._write(tmp_path, lines, newline)
+        target = "y" if "x,y" in lines else 1
+        with pytest.raises(ValueError) as got:
+            datasets.read_table(path, "csv", target)
+        assert str(got.value) == message
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as ref:
+            parse_csv(fh, target)
+        assert str(ref.value) == message
+
+    @ENDINGS
+    def test_libsvm_same_bits_as_open_file(self, tmp_path, newline):
+        path = self._write(tmp_path, ["", "1 1:2", "", "-0 2:5e-324 3:1e308"], newline, ".libsvm")
+        ds = datasets.read_table(path, "libsvm")
+        with open(path, encoding="utf-8") as fh:
+            self._same(ds, parse_libsvm(fh, name="t"))
+        assert np.array_equal(_bits(ds.features),
+                              _bits(np.array([[2.0, 0, 0], [0, 5e-324, 1e308]])))
+        assert np.array_equal(_bits(ds.targets), _bits(np.array([1.0, -0.0])))
+        path = self._write(tmp_path, ["", "1 1:2", "", "2 bad"], newline, ".libsvm")
+        with pytest.raises(ValueError, match="^line 4: malformed token 'bad'$"):
+            datasets.read_table(path, "libsvm")
+
+    def test_form_feed_belongs_to_its_line(self, tmp_path):
+        # str.splitlines would end a line at the form feed: "1," would be
+        # a row with an empty cell, and "foo,3" would be on line 4
+        path = self._write(tmp_path, ["x,y", "1,\x0c2", "3,4"], "\n")
+        ds = datasets.read_table(path, "csv")
+        assert np.array_equal(ds.features[:, 0], [1.0, 3.0])
+        assert np.array_equal(ds.targets, [2.0, 4.0])
+        path = self._write(tmp_path, ["x,y", "1,\x0c2", "foo,3"], "\n")
+        with pytest.raises(ValueError, match="^row 3, column 1: non-numeric cell 'foo'$"):
+            datasets.read_table(path, "csv")
 
 
 class TestSplits:
@@ -576,6 +650,43 @@ class TestManifest:
     def test_fetch_requires_url(self, tmp_path):
         with pytest.raises(ValueError):
             fetch_dataset({"path": "x"}, str(tmp_path / "x"))
+
+    @staticmethod
+    def _serve(monkeypatch, body, fail_after=None):
+        """Patch ``urlopen`` to answer with ``body``; with ``fail_after``,
+        a read that would pass that many bytes raises instead."""
+        class Response(io.BytesIO):
+            def read(self, size=-1):
+                end = len(body) if size < 0 else self.tell() + size
+                if fail_after is not None and end > fail_after:
+                    raise ConnectionResetError("connection reset mid-body")
+                return super().read(size)
+
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda url, timeout: Response(body))
+
+    def test_fetch_streams_and_verifies(self, tmp_path, monkeypatch):
+        body = b"1 1:2.0\n" * 50000
+        self._serve(monkeypatch, body)
+        dest = tmp_path / "sub" / "t.libsvm"
+        entry = {"url": "https://example.invalid/t", "sha256": hashlib.sha256(body).hexdigest()}
+        assert fetch_dataset(entry, str(dest)) == str(dest)
+        assert dest.read_bytes() == body
+        assert os.listdir(dest.parent) == ["t.libsvm"]
+
+    def test_fetch_failed_read_leaves_no_file(self, tmp_path, monkeypatch):
+        # streamed, a first chunk reaches the .part file before the read fails
+        self._serve(monkeypatch, b"1 1:2.0\n" * 25000, fail_after=100000)
+        with pytest.raises(ConnectionResetError):
+            fetch_dataset({"url": "https://example.invalid/t"}, str(tmp_path / "t.libsvm"))
+        assert os.listdir(tmp_path) == []
+
+    def test_fetch_checksum_mismatch_leaves_no_file(self, tmp_path, monkeypatch):
+        self._serve(monkeypatch, b"1 1:2.0\n")
+        entry = {"url": "https://example.invalid/t", "sha256": "0" * 64}
+        with pytest.raises(ValueError, match="checksum mismatch for https://example.invalid/t"):
+            fetch_dataset(entry, str(tmp_path / "t.libsvm"))
+        assert os.listdir(tmp_path) == []
 
 
 class TestMinmaxScale:
