@@ -58,6 +58,11 @@ MANIFEST_ENV = "FCODT_MANIFEST"
 CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"manifest"}
 
 
+# characters of text that atomic_write encodes at a time, so that beside
+# the text only one slice and its bytes are held
+_WRITE_SLICE = 1 << 19
+
+
 def atomic_write(path: str, text: str):
     """Write ``text`` to ``path`` through a temp file in its directory and
     a rename, so a reader sees the old file or the new one. The new file
@@ -73,7 +78,8 @@ def atomic_write(path: str, text: str):
     try:
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

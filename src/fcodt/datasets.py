@@ -15,11 +15,12 @@ it) is byte-identical across reruns on one machine, not across machines.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -157,7 +158,8 @@ def gen_sim2(n: int, sigma: float, seed: int) -> Dataset:
 
 # the one spelling of a float in text: 17 significant digits, which
 # float() reads back to the same bits
-_fmt = "{:.17g}".format
+_FLOAT = "%.17g"
+_fmt = _FLOAT.__mod__
 
 
 def _csv(header, rows) -> str:
@@ -168,14 +170,43 @@ def _csv(header, rows) -> str:
     return "\n".join(chain([",".join(header)], map(",".join, rows), [""]))
 
 
-def _lines(source) -> list:
+def _lines(source):
     """The lines of a table source, a string or an iterable of lines (an
-    open file), without their line ends. A string is split by
-    ``str.splitlines``. An open file is taken one line at a time, so its
-    whole text is never held next to its lines; opened in ``open``'s
-    default newline mode, it ends lines at ``\\n``, ``\\r\\n`` or ``\\r``
-    only."""
-    return source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
+    open file). A string, held whole already, is split by
+    ``str.splitlines``. An open file is iterated one line at a time, so
+    its whole text is never held; opened in ``open``'s default newline
+    mode, it ends lines at ``\\n``, ``\\r\\n`` or ``\\r`` only. A line may
+    keep its line end: the readers strip a line and its cells of
+    surrounding whitespace, and numpy's reader ends the line there."""
+    return source.splitlines() if isinstance(source, str) else source
+
+
+def _rereader(source):
+    """A function that gives the ``_lines`` of ``source`` from its start
+    each time it is called: a string is split again, and a seekable file
+    is sought back to where it stood. Any other source can be read only
+    once, so its lines are listed up front; so is a text file that is
+    being iterated, which cannot tell where it stands."""
+    if isinstance(source, str):
+        return lambda: _lines(source)
+    try:
+        start = source.tell() if isinstance(source, io.IOBase) and source.seekable() else None
+    except OSError:
+        start = None
+    if start is not None:
+
+        def lines():
+            source.seek(start)
+            return _lines(source)
+
+        return lines
+    listed = list(source)
+    return lambda: listed
+
+
+def _numbered(lines):
+    """(1-based line number, line) of each non-blank line of ``lines``."""
+    return ((no, ln) for no, ln in enumerate(lines, start=1) if ln.strip())
 
 
 def parse_libsvm(source, expected_dim: int | None = None,
@@ -241,62 +272,56 @@ def _looks_numeric(cell: str) -> bool:
         return False
 
 
-def _split_csv(source):
-    """(lines, body, header, ncols) of a CSV source: all its lines, the
-    non-blank lines after the header, the header cells (None when every
-    cell of the first non-blank line reads as a number), and the cell
-    count of that first line (0 when every line is blank)."""
-    lines = _lines(source)
-    body = [ln for ln in lines if ln.strip()]
-    if not body:
-        return lines, body, None, 0
-    first = [c.strip() for c in body[0].split(",")]
-    if all(_looks_numeric(c) for c in first):
-        return lines, body, None, len(first)
-    return lines, body[1:], first, len(first)
+def _columns(table: np.ndarray, cols: list) -> np.ndarray:
+    """``table[:, cols]`` for ascending ``cols``: a view when they are
+    adjacent, so that no copy is made of a run of columns."""
+    if cols and cols[-1] - cols[0] == len(cols) - 1:
+        return table[:, cols[0]:cols[-1] + 1]
+    return table[:, cols]
 
 
-def _line_number(lines, k: int) -> int:
-    """The 1-based source line of the k-th (0-based) non-blank line."""
-    return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
+def _csv_values(body, lines, skip: int, ncols: int, used) -> np.ndarray:
+    """The ``(rows, ncols)`` float64 values of the ``body`` lines, each
+    cell as Python ``float()`` reads it. ``body`` is an iterator over the
+    non-blank lines of the source ``lines()`` reads, past the first
+    ``skip`` of them (the header).
 
-
-def _csv_values(lines, body, skip: int, ncols: int, used) -> np.ndarray:
-    """The ``(len(body), ncols)`` float64 values of the ``body`` lines,
-    each cell as Python ``float()`` reads it; ``skip`` non-blank lines
-    (the header) precede the body in ``lines``.
-
-    numpy's reader converts the whole body at once; it reads the same
+    numpy's reader takes the body one line at a time; it reads the same
     bits as ``float()`` but refuses some cells that ``float()`` reads
-    (``1_000``). When it raises, or a ragged line gives another shape,
-    the body is read cell by cell, which raises the first error in file
-    order. Then the first non-finite cell of the ``used`` columns in
-    row-major order is rejected."""
+    (``1_000``). It gives one row per line or raises (a line holding a
+    line break raises), so only the width can be wrong. When it raises or
+    the width is wrong, the source is read again and its non-blank lines
+    are listed for a cell-by-cell loop, which raises the first error in
+    file order. Then the first non-finite cell of the ``used`` columns in
+    row-major order is rejected, its line found by reading the source
+    again."""
+    head = next(body, None)
+    if head is None:
+        return np.empty((0, ncols))
     try:
         # no comment character: "1#2" is a malformed cell, not 1
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body else None
+        table = np.loadtxt(chain([head], body), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         table = None
-    if table is None or table.shape != (len(body), ncols):
-        table = np.empty((len(body), ncols))
-        for i, line in enumerate(body):
+    if table is None or table.shape[1] != ncols:
+        numbered = list(islice(_numbered(lines()), skip, None))
+        table = np.empty((len(numbered), ncols))
+        for i, (no, line) in enumerate(numbered):
             cells = [c.strip() for c in line.split(",")]
             if len(cells) != ncols:
-                rowno = _line_number(lines, skip + i)
-                raise ValueError(f"row {rowno}: expected {ncols} cells, got {len(cells)}")
+                raise ValueError(f"row {no}: expected {ncols} cells, got {len(cells)}")
             for j, cell in enumerate(cells):
                 try:
                     table[i, j] = float(cell)
                 except ValueError:
-                    rowno = _line_number(lines, skip + i)
-                    raise ValueError(f"row {rowno}, column {j + 1}: non-numeric cell {cell!r}")
-    bad = np.argwhere(~np.isfinite(table[:, used]))
+                    raise ValueError(f"row {no}, column {j + 1}: non-numeric cell {cell!r}")
+    bad = np.argwhere(~np.isfinite(_columns(table, used)))
     if bad.size:
         i, j = bad[0]
         j = used[j]
-        cell = body[i].split(",")[j].strip()
-        raise ValueError(f"row {_line_number(lines, skip + i)}, column {j + 1}: "
-                         f"non-finite cell {cell!r}")
+        no, line = next(islice(_numbered(lines()), skip + i, None))
+        cell = line.split(",")[j].strip()
+        raise ValueError(f"row {no}, column {j + 1}: non-finite cell {cell!r}")
     return table
 
 
@@ -311,11 +336,21 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
     reads it, surrounding whitespace included. Blank lines are skipped,
     but errors name the 1-based line of the source: a ragged line, a
     non-numeric cell in any column, or a non-finite cell (``nan``,
-    ``inf``, ``1e400``) in the target or a feature column."""
-    lines, body, header, ncols = _split_csv(source)
+    ``inf``, ``1e400``) in the target or a feature column.
+
+    The lines after the header go to numpy's reader one at a time (see
+    ``_csv_values``); they are listed only to report an error or to read
+    cells numpy refuses, for which the source is read again from its
+    start."""
+    lines = _rereader(source)
+    body = filter(str.strip, lines())  # the non-blank lines
+    first = next(body, None)
     meta = {"name": name, "source": "csv"}
-    if not ncols:
+    if first is None:
         return Dataset(np.zeros((0, 0)), np.zeros(0), meta=meta)
+    cells = [c.strip() for c in first.split(",")]
+    header = None if all(_looks_numeric(c) for c in cells) else cells
+    ncols = len(cells)
 
     def col_index(spec):
         if isinstance(spec, int):
@@ -334,16 +369,19 @@ def parse_csv(source, target_column, drop_columns=(), name: str = "csv") -> Data
         raise ValueError("target column cannot also be dropped")
     keep = [j for j in range(ncols) if j != tgt and j not in dropped]
     used = keep if tgt is None else sorted(keep + [tgt])
-    table = _csv_values(lines, body, header is not None, ncols, used)
-    y = np.zeros(len(body)) if tgt is None else table[:, tgt]
-    return Dataset(table[:, keep], y, meta=meta)
+    if header is None:
+        body = chain([first], body)
+    table = _csv_values(body, lines, header is not None, ncols, used)
+    y = np.zeros(len(table)) if tgt is None else table[:, tgt]
+    return Dataset(_columns(table, keep), y, meta=meta)
 
 
 def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
     """Serialize with 17 significant digits so values round-trip exactly.
-    The table is converted to Python floats one row at a time, so beside
-    the one float64 copy of the table only the CSV lines and then the
-    document are held."""
+    The table is converted to Python floats one row at a time and each
+    row is spelled by one ``%`` of the row pattern, so beside the one
+    float64 copy of the table only the CSV lines and then the document
+    are held."""
     header = [f"x{j + 1}" for j in range(data.dim)] + ["y"]
     columns = [data.features, data.targets[:, None]]
     if include_clean:
@@ -351,7 +389,10 @@ def dataset_to_csv(data: Dataset, include_clean: bool = False) -> str:
             raise ValueError("dataset has no clean targets to include")
         header.append("f")
         columns.append(data.clean_targets[:, None])
-    return _csv(header, (map(_fmt, row.tolist()) for row in np.hstack(columns)))
+    pattern = ",".join([_FLOAT] * len(header))
+    # one cell per row: its whole line; the generator holds the stacked
+    # table, which is freed once the last line is drawn
+    return _csv(header, zip(pattern % tuple(row.tolist()) for row in np.hstack(columns)))
 
 
 def train_test_split(data: Dataset, train_fraction: float, seed: int) -> SplitAssignment:
@@ -499,14 +540,17 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
     0-based index, and a ``target`` of None reads no target (zeros, see
     ``parse_csv``). A LIBSVM table names no columns: its target is the
     first field of each line, so a ``target`` other than "y" or None and
-    any ``drop`` entry are refused; ``expected_dim`` bounds its feature
-    indices. The dataset is named ``name``, by default the file's base
-    name without its extension.
+    any ``drop`` entry are refused. ``expected_dim`` bounds a LIBSVM
+    table's feature indices, and is the number of feature columns a CSV
+    table must have. The dataset is named ``name``, by default the file's
+    base name without its extension.
 
     The open file goes to the parser, which takes its lines one at a time
-    (see ``_lines``): the file's whole text is never held, only its lines
-    and the parsed table. So lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
-    and any other character, a form feed included, belongs to its line."""
+    (see ``_lines``): a CSV table's non-blank lines go to numpy's reader
+    as they are read, and are listed only to report an error or to read
+    cells numpy refuses (see ``parse_csv``). So lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and any other character, a form feed
+    included, belongs to its line."""
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     with open(path, "r", encoding="utf-8") as fh:
@@ -518,7 +562,11 @@ def read_table(path: str, fmt: str = "csv", target="y", drop=(),
                 raise ValueError(f"drop {list(drop)!r}: a libsvm table names no columns")
             return parse_libsvm(fh, expected_dim=expected_dim, name=name)
         if fmt == "csv":
-            return parse_csv(fh, _column(target), tuple(map(_column, drop)), name=name)
+            data = parse_csv(fh, _column(target), tuple(map(_column, drop)), name=name)
+            if expected_dim is not None and data.dim != expected_dim:
+                raise ValueError(f"{path}: expected {expected_dim} feature columns, "
+                                 f"the table has {data.dim}")
+            return data
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 

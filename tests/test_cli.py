@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import fcodt
 from fcodt import datasets, evaluation, stumps
 from fcodt.baselines import fit_cart, fit_ridge_odt
-from fcodt.cli import load_run_config, main
+from fcodt.cli import atomic_write, load_run_config, main
 from fcodt.tree import SplitCriteria, fit_fc_odt, model_from_text, model_to_text, predict_batch
 from oracles import explain_reference
 
@@ -25,6 +26,23 @@ def sim_csv(tmp_path):
     assert run("simulate", "--which", "sim1", "--n", "300", "--sigma", "0.1",
                "--seed", "5", "--out", str(path)) == 0
     return path
+
+
+class TestAtomicWrite:
+    def test_holds_one_slice_beside_the_text(self, tmp_path):
+        text = datasets.dataset_to_csv(datasets.gen_sim1(20000, 0.1, 3), include_clean=True)
+        assert len(text) > 4_000_000
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            atomic_write(str(path), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text was made before tracing: the peak is what the write
+        # held beside it, well short of a bytes copy of the whole text
+        assert peak < 2 * 2**20
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestSimulate:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import urllib.request
 
 import numpy as np
@@ -500,6 +501,100 @@ class TestReadTableLines:
             datasets.read_table(path, "csv")
 
 
+class TestStreamedHandOff:
+    """``read_table`` hands a CSV file's non-blank lines to one call of
+    numpy's reader, and reads the file again with the line reader only
+    where numpy refuses a cell, the table has the wrong width, or a used
+    cell is non-finite. Each case reads as ``parse_csv`` reads the same
+    text as a string: the same bits, or the same error."""
+
+    N_ROWS = 6100
+
+    @staticmethod
+    def _clean_rows(n_rows):
+        values = np.random.default_rng(31).normal(size=(n_rows, 3)) * 1e3
+        return [",".join(map(repr, row)) for row in values.tolist()]
+
+    @classmethod
+    def _cases(cls):
+        """Per case: the lines, the target column, and what numpy's reader
+        gives ``parse_csv`` for one read: its table's shape, None where it
+        refuses the table, nothing where there is no body to read."""
+        rows = cls._clean_rows(cls.N_ROWS)
+        mid = cls.N_ROWS // 2
+        return {
+            "blank_lines": (["x,y,z", "1,2,3", " ", "\t", "\x0c", " \x0c\t", "4,5,6", ""],
+                            "z", [(2, 3)]),
+            "header_only": (["", "x,y,z"], "z", []),
+            "blank_only": (["", " ", "\x0c", ""], None, []),
+            "underscore": (["x,y,z"] + rows[:mid] + ["1_000,2,3"] + rows[mid:], "z", [None]),
+            "ragged_last": (["x,y,z"] + rows + ["1,2"], "z", [None]),
+            # numpy reads every line, but narrower than the header
+            "narrow": (["x,y,z", "1,2", "", "3,4"], "z", [(2, 2)]),
+            "non_finite_last": (["x,y,z"] + rows + ["1,2,inf"], "z", [(cls.N_ROWS + 1, 3)]),
+        }
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("case", ["blank_lines", "header_only", "blank_only", "underscore",
+                                      "ragged_last", "narrow", "non_finite_last"])
+    def test_same_as_string(self, tmp_path, loadtxt_shapes, case, newline):
+        lines, target, shapes = self._cases()[case]
+        text = newline.join(lines) + newline
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            ref = parse_csv(text, target, name="t")
+        except ValueError as exc:
+            ref = exc
+        with open(path, newline="") as fh:
+            listed = fh.readlines()
+        for read in (lambda: datasets.read_table(str(path), "csv", target),
+                     # not seekable: listed once, then read by the same rules
+                     lambda: parse_csv(iter(listed), target, name="t")):
+            loadtxt_shapes.clear()
+            if isinstance(ref, ValueError):
+                with pytest.raises(ValueError) as got:
+                    read()
+                assert str(got.value) == str(ref)
+            else:
+                ds = read()
+                assert np.array_equal(_bits(ds.features), _bits(ref.features))
+                assert np.array_equal(_bits(ds.targets), _bits(ref.targets))
+                assert ds.meta == ref.meta
+            assert loadtxt_shapes == shapes
+
+    def test_file_read_from_where_it_stands(self, tmp_path, loadtxt_shapes):
+        # seeking back goes to where the file stood, not to its start; a
+        # file being iterated cannot tell where it stands, and is listed
+        path = tmp_path / "t.csv"
+        path.write_text("# preamble\nx,y\n1,2\n\n3_0,4\n")
+        with open(path) as fh:
+            fh.readline()
+            ds = parse_csv(fh, "y")
+        assert np.array_equal(ds.features[:, 0], [1.0, 30.0])
+        path.write_text("# preamble\nx,y\n1,2\n\n3,inf\n")
+        for skip in (lambda fh: fh.readline(), next):
+            with open(path) as fh, pytest.raises(ValueError) as got:
+                skip(fh)
+                parse_csv(fh, "y")
+            assert str(got.value) == "row 4, column 2: non-finite cell 'inf'"
+        assert loadtxt_shapes == [None, (2, 2), (2, 2)]
+
+    def test_read_table_peak_memory(self, tmp_path):
+        path = tmp_path / "score.csv"
+        path.write_text(dataset_to_csv(gen_sim2(20000, 0.01, 7), include_clean=True))
+        tracemalloc.start()
+        try:
+            ds = datasets.read_table(str(path), "csv", "y", ("f",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (20000, 10)
+        # numpy's table of all 12 columns and the dataset's own copies;
+        # no list of the file's lines
+        assert peak < 4 * (ds.features.nbytes + ds.targets.nbytes)
+
+
 class TestSplits:
     def test_sizes_round_up_train(self):
         ds = gen_sim1(5, 0.0, 0)
@@ -570,6 +665,16 @@ class TestManifest:
         assert np.array_equal(ds.targets, [10.0, 30.0])
         assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
         assert ds.meta["name"] == "small"
+
+    def test_csv_entry_feature_count_checked(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,t,b\n1,10,2\n3,30,4\n")
+        entry = {"path": "tiny.csv", "format": "csv", "target": "t"}
+        ds = load_from_manifest("small", {"small": {**entry, "n_features": 2}}, str(tmp_path))
+        assert ds.dim == 2
+        with pytest.raises(ValueError) as got:
+            load_from_manifest("small", {"small": {**entry, "n_features": 7}}, str(tmp_path))
+        assert str(got.value) == f"{path}: expected 7 feature columns, the table has 2"
 
     def test_unknown_format_raises(self, tmp_path):
         (tmp_path / "tiny.arff").write_text("@relation tiny\n")
