@@ -108,15 +108,6 @@ def load_run_config(path: str):
     return ExperimentConfig(**kwargs), manifest_path, hashlib.sha256(data).hexdigest()
 
 
-def _criteria_from_args(args) -> SplitCriteria:
-    return SplitCriteria(
-        max_depth=args.max_depth,
-        min_samples_split=args.min_split,
-        min_samples_leaf=args.min_leaf,
-        min_gain=args.min_gain,
-    )
-
-
 def _parse_grid(text: str) -> tuple:
     """The comma-separated λ values of ``--grid``; a ValueError names the
     flag and the entry that is not a number."""
@@ -132,9 +123,9 @@ def _parse_grid(text: str) -> tuple:
 def cmd_train(args) -> int:
     data = read_table(args.data, args.format, args.target, args.drop)
     if data.n == 0:
-        print("error: training data is empty", file=sys.stderr)
-        return 1
-    criteria = _criteria_from_args(args)
+        raise ValueError("training data is empty")
+    criteria = SplitCriteria(max_depth=args.max_depth, min_samples_split=args.min_split,
+                             min_samples_leaf=args.min_leaf, min_gain=args.min_gain)
     if args.lam == "cv":
         grid = _parse_grid(args.grid)
         evaluation._check_lambda_grid(grid)
@@ -175,17 +166,16 @@ def cmd_predict(args) -> int:
         model = model_from_text(fh.read())
     # without --target every column not dropped is a feature
     X = read_table(args.data, args.format, args.target, args.drop).features
-    if X.shape[0] and X.shape[1] != model.input_dim:
-        print(f"error: model expects {model.input_dim} features, data has {X.shape[1]}",
-              file=sys.stderr)
-        return 1
+    if X.shape[0] == 0:  # a table without rows has no width: it takes the model's
+        X = X.reshape(0, model.input_dim)
+    if X.shape[1] != model.input_dim:
+        raise ValueError(f"model expects {model.input_dim} features, data has {X.shape[1]}")
     if args.explain:
         header = ("prediction", "path_nodes", "path_scores")
-        rows = _explain_rows(model, route_batch(model, X)) if X.shape[0] else []
+        rows = _explain_rows(model, route_batch(model, X))
     else:
         header = ("prediction",)
-        preds = predict_batch(model, X) if X.shape[0] else np.zeros(0)
-        rows = zip(map(_fmt, preds.tolist()))  # one cell per row
+        rows = zip(map(_fmt, predict_batch(model, X).tolist()))  # one cell per row
     atomic_write(args.out, _csv(header, rows))
     print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
@@ -318,9 +308,7 @@ def cmd_inspect(args) -> int:
                   f"count={node.sample_count}")
     if args.stumps:
         if not args.data:
-            print("error: --stumps requires --data with the training table",
-                  file=sys.stderr)
-            return 1
+            raise ValueError("--stumps requires --data with the training table")
         data = read_table(args.data, args.format, args.target, args.drop)
         basis, deviation = stump_diagnostics(model, data)
         gram = stump_gram_matrix(basis)
@@ -343,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
         p.add_argument("--target", default="y" if with_target_default else None,
                        help="target column name or index (csv)")
-        p.add_argument("--drop", nargs="*", default=[],
+        p.add_argument("--drop", nargs="*", action="extend", default=[],
                        help="csv columns to exclude from the features")
 
     p = sub.add_parser("train", help="fit a tree and save it")

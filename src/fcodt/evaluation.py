@@ -245,15 +245,11 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
             method, ((data.subset(fold.train_indices), lam) for lam, _, fold in batch),
             criteria)
         for (lam, i, fold), model in zip(batch, models):
-            try:
-                if isinstance(model, Exception):
-                    raise model
+            if isinstance(model, Exception):  # recorded, not raised
+                val, err = math.inf, f"{type(model).__name__}: {model}"
+            else:
                 pred = predict_batch(model, data.features[fold.test_indices])
-                val = mse(pred, data.targets[fold.test_indices])
-                err = ""
-            except Exception as exc:  # recorded, not raised
-                val = math.inf
-                err = f"{type(exc).__name__}: {exc}"
+                val, err = mse(pred, data.targets[fold.test_indices]), ""
             table.append({"lambda": lam, "fold": i, "mse": val, "error": err})
     # (lambda x fold) validation MSE; a NaN mean never wins
     means = np.array([row["mse"] for row in table]).reshape(len(lams), -1).mean(axis=1)
@@ -447,14 +443,10 @@ def rank_sum_test(sample_a, sample_b):
 
     mu = n1 * (n + 1) / 2.0
     if n <= 12:
-        dev = abs(w - mu)
-        count = 0
-        total = 0
-        for combo in combinations(range(n), n1):
-            total += 1
-            if abs(ranks[list(combo)].sum() - mu) >= dev - 1e-12:
-                count += 1
-        return w, count / total
+        # every assignment's rank sum; midranks are half-integers, so each
+        # sum is exact
+        sums = ranks[np.array(list(combinations(range(n), n1)))].sum(axis=1)
+        return w, int(np.count_nonzero(np.abs(sums - mu) >= abs(w - mu) - 1e-12)) / sums.size
 
     tie_term = sum(t ** 3 - t for t in tie_sizes)
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
@@ -485,16 +477,13 @@ def timings_to_csv(records) -> str:
 def _average_ranks(table: dict) -> dict:
     """Average rank per method over datasets (rank 1 = highest mean R^2;
     ties share the average rank)."""
-    methods = sorted({m for row in table.values() for m in row})
-    sums = {m: 0.0 for m in methods}
-    counts = {m: 0 for m in methods}
+    ranks = {}
     for row in table.values():
-        present = [m for m in methods if m in row]
-        ranks, _ = _midranks(-np.array([row[m][0] for m in present]))
-        for m, rank in zip(present, ranks.tolist()):
-            sums[m] += rank
-            counts[m] += 1
-    return {m: sums[m] / counts[m] for m in methods if counts[m]}
+        present = sorted(row)
+        midranks, _ = _midranks(-np.array([row[m][0] for m in present]))
+        for m, rank in zip(present, midranks.tolist()):
+            ranks.setdefault(m, []).append(rank)
+    return {m: sum(ranks[m]) / len(ranks[m]) for m in sorted(ranks)}
 
 
 def aggregate_benchmark(records, reference: list[dict] | None = None):
@@ -533,20 +522,15 @@ def significance_markers(per_repeat: dict, reference_method: str = "fc_odt",
     ``alpha`` that ``check_alpha`` refuses."""
     check_alpha(alpha)
     out = []
-    datasets = sorted({d for d, _ in per_repeat})
-    for dataset in datasets:
+    for (dataset, method), vals in sorted(per_repeat.items()):
         ref_vals = per_repeat.get((dataset, reference_method))
-        if not ref_vals:
+        if not ref_vals or method == reference_method:
             continue
-        for (ds, method), vals in sorted(per_repeat.items()):
-            if ds != dataset or method == reference_method:
-                continue
-            _, p = rank_sum_test(ref_vals, vals)
-            marker = ""
-            if p < alpha:
-                marker = "+" if np.mean(ref_vals) > np.mean(vals) else "-"
-            out.append({"dataset": dataset, "method": method,
-                        "p_value": p, "marker": marker})
+        _, p = rank_sum_test(ref_vals, vals)
+        marker = ""
+        if p < alpha:
+            marker = "+" if np.mean(ref_vals) > np.mean(vals) else "-"
+        out.append({"dataset": dataset, "method": method, "p_value": p, "marker": marker})
     return out
 
 

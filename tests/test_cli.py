@@ -389,6 +389,57 @@ class TestTrainPredict:
         assert len(preds["dropped"].read_text().splitlines()) == 301
         assert preds["dropped"].read_bytes() == preds["absent"].read_bytes()
 
+    def test_repeated_drop_keeps_every_list(self, tmp_path, sim_csv, capsys):
+        # sim.csv's columns are x1..x10, y, f: without --target both y and
+        # f must be dropped, in one --drop or in two
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        outputs = []
+        for drops in (["--drop", "f", "y"], ["--drop", "f", "--drop", "y"]):
+            pred_path = tmp_path / f"pred{len(outputs)}.csv"
+            assert run("predict", "--model", str(model_path), "--data", str(sim_csv),
+                       *drops, "--out", str(pred_path)) == 0
+            outputs.append(pred_path.read_bytes())
+        assert capsys.readouterr().err == ""
+        assert len(outputs[0].splitlines()) == 301
+        assert outputs[0] == outputs[1]
+
+    def test_predict_width_mismatch_message(self, tmp_path, sim_csv, capsys):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--out", str(model_path))
+        capsys.readouterr()
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(sim_csv),
+                   "--drop", "f", "--out", str(pred_path)) == 1
+        assert capsys.readouterr() == ("", "error: model expects 10 features, data has 11\n")
+        assert not pred_path.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "x1,x2,y\n"])
+    def test_train_on_empty_table_refused(self, tmp_path, capsys, text):
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(data), "--out", str(model_path)) == 1
+        assert capsys.readouterr() == ("", "error: training data is empty\n")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("text", ["", "x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,y,f\n"])
+    def test_predict_explain_without_rows_writes_the_header(self, tmp_path, sim_csv, capsys,
+                                                            text):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        capsys.readouterr()
+        data = tmp_path / "table.csv"
+        data.write_text(text)
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(data),
+                   "--target", "y", "--drop", "f", "--explain", "--out", str(pred_path)) == 0
+        assert capsys.readouterr() == (f"wrote 0 predictions to {pred_path}\n", "")
+        assert pred_path.read_text() == "prediction,path_nodes,path_scores\n"
+
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(fcodt.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -421,6 +472,17 @@ class TestInspect:
                    "--data", str(sim_csv), "--target", "y", "--drop", "f") == 0
         assert "orthogonal-expansion deviation" in capsys.readouterr().out
         assert len(replays) == 1
+
+    def test_stumps_without_data_refused_after_the_tree(self, tmp_path, sim_csv, capsys):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "2", "--out", str(model_path))
+        capsys.readouterr()
+        assert run("inspect", "--model", str(model_path)) == 0
+        tree_text = capsys.readouterr().out
+        assert run("inspect", "--model", str(model_path), "--stumps") == 1
+        assert capsys.readouterr() == (
+            tree_text, "error: --stumps requires --data with the training table\n")
 
     def test_gain_column_matches_model(self, tmp_path, sim_csv, capsys):
         from fcodt.tree import ObliqueNode, model_from_text

@@ -145,6 +145,16 @@ class TestParseLibsvm:
         ds = parse_libsvm("")
         assert ds.n == 0
 
+    def test_malformed_target_reports_line(self):
+        with pytest.raises(ValueError, match="line 2: malformed target 'one'"):
+            parse_libsvm("1 1:2.0\none 1:3.0")
+
+    def test_index_above_expected_dim_refused(self):
+        assert parse_libsvm("1 3:2.0", expected_dim=3).dim == 3
+        with pytest.raises(ValueError,
+                           match="line 2: feature index 4 exceeds expected dimension 3"):
+            parse_libsvm("1 3:2.0\n2 1:1.0 4:2.0", expected_dim=3)
+
     @pytest.mark.parametrize("target, drop, message", [
         ("y", ["nope"], r"drop \['nope'\]: a libsvm table names no columns"),
         ("y", ["3"], r"drop \['3'\]: a libsvm table names no columns"),
@@ -190,6 +200,19 @@ class TestParseCsv:
     def test_drop_columns(self):
         ds = parse_csv("a,b,y\n1,2,3\n4,5,6", target_column="y", drop_columns=("b",))
         assert np.array_equal(ds.features, [[1.0], [4.0]])
+
+    @pytest.mark.parametrize("text, target, drop, message", [
+        ("1,2,3\n4,5,6", 3, (), "column index 3 out of range for 3 columns"),
+        ("1,2,3\n4,5,6", 0, (-1,), "column index -1 out of range for 3 columns"),
+        ("1,2,3\n4,5,6", "y", (), "column 'y' requested by name but the table has no header"),
+        ("a,b,y\n1,2,3", "z", (), "column 'z' not found in header ['a', 'b', 'y']"),
+        ("a,b,y\n1,2,3", "y", ("b", "y"), "target column cannot also be dropped"),
+        ("1,2,3\n4,5,6", 2, (2,), "target column cannot also be dropped"),
+    ], ids=["index_past_end", "index_negative", "name_without_header", "name_not_in_header",
+            "target_dropped_by_name", "target_dropped_by_index"])
+    def test_bad_column_spec_refused(self, text, target, drop, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_csv(text, target_column=target, drop_columns=drop)
 
     def test_roundtrip_17_digits(self):
         rng = np.random.default_rng(1)

@@ -225,6 +225,20 @@ def test_config_rejects_unknown_method():
         ExperimentConfig(methods=("fc_odt", "nope"))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"methods": "fc_odt"}, "methods must be a list, got 'fc_odt'"),
+    ({"depths": (2, "3")}, "depths entry '3' is not an integer"),
+    ({"datasets": ("sim1", 2)}, "datasets entry 2 is not a string"),
+    ({"repeats": 0}, "repeats must be at least 1"),
+    ({"noise_sigma": -0.5}, "noise_sigma must be finite and nonnegative"),
+    ({"methods": ()}, "methods must be nonempty"),
+], ids=["methods_not_a_list", "depth_not_an_integer", "dataset_not_a_string", "no_repeats",
+        "negative_noise", "no_methods"])
+def test_config_rejects_bad_value(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**overrides)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), "0.1"])
 def test_config_rejects_bad_lambda_grid_entry(bad):
     with pytest.raises(ValueError, match=f"lambda grid entry {bad!r} is not a finite"):

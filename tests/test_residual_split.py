@@ -12,6 +12,7 @@ import pytest
 from fcodt import tree
 from fcodt.baselines import fit_ridge_odt
 from fcodt.datasets import Dataset
+from fcodt.evaluation import grid_search_lambda
 from fcodt.linalg import SingularSystemError
 from fcodt.stumps import linear_impurity_decrease
 from fcodt.tree import (
@@ -215,3 +216,41 @@ class TestGrowingTogether:
         out = fit_method_many("fc_odt", [(ds, 0.0), (ds, 0.1)], crit)
         assert isinstance(out[0], SingularSystemError)
         assert model_to_text(out[1]) == model_to_text(fit_fc_odt(ds, 0.1, crit))
+
+
+def binary_column_dataset():
+    """A 0/1 column between two normal ones: at lambda 0 a child of a cut
+    on the 0/1 column holds that column constant, so its unpenalised fit
+    is singular."""
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.normal(size=200), rng.integers(0, 2, size=200),
+                         rng.normal(size=200)]).astype(np.float64)
+    y = X[:, 0] + 4.0 * X[:, 1] + 0.1 * rng.normal(size=200)
+    return Dataset(X, y)
+
+
+class TestSingularChildFits:
+    def test_root_search_refuses(self):
+        with pytest.raises(SingularSystemError,
+                           match="singular system in the child fits of the threshold search"):
+            fit_fc_odt(binary_column_dataset(), 0.0, SplitCriteria(max_depth=1))
+
+    def test_grid_search_records_the_refusal(self, monkeypatch):
+        # the four CV fits share one growth batch; its search fails, so
+        # each tree is searched again alone and only the lambda 0 trees fail
+        sizes = []
+        split_nodes = tree._split_nodes
+
+        def counting(items, *args):
+            sizes.append(len(items))
+            return split_nodes(items, *args)
+
+        monkeypatch.setattr(tree, "_split_nodes", counting)
+        lam, table = grid_search_lambda(binary_column_dataset(), "fc_odt",
+                                        SplitCriteria(max_depth=1), [0.0, 0.1], 2, 0)
+        assert lam == 0.1
+        assert sizes == [4, 1, 1, 1, 1]
+        assert [row["error"] for row in table] == [
+            "SingularSystemError: singular system in the child fits of the threshold "
+            "search"] * 2 + ["", ""]
+        assert [row["mse"] == np.inf for row in table] == [True, True, False, False]

@@ -642,6 +642,36 @@ class TestLoaderFieldChecks:
                                           SplitCriteria(max_depth=2)))
         assert model_to_text(model_from_text(text)) == text
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda head, nodes: [], "empty model document"),
+        (lambda head, nodes: [head[0].replace(" 1", " 2")] + head[1:] + nodes,
+         "unsupported model format version 2"),
+        (lambda head, nodes: [line for line in head if not line.startswith("min_gain ")]
+         + nodes, r"model document missing fields: \['min_gain'\]"),
+        (lambda head, nodes: head + nodes[:2], "expected 3 node lines, found 2"),
+        (lambda head, nodes: head + nodes[:2] + ["stump 1 0.5 10"],
+         "node 2: unknown node kind 'stump'"),
+        (lambda head, nodes: head[:-1] + ["nodes 0"], "model has no nodes"),
+        (lambda head, nodes: head[:-1] + ["nodes 1", "leaf 1 0.5 10"],
+         r"node 0 \(the root\) must have depth 0"),
+    ], ids=["empty", "version", "missing_field", "node_count", "node_kind", "no_nodes",
+            "root_depth"])
+    def test_rejects_malformed_document(self, edit, match):
+        head, nodes = cart_model_text(1)
+        assert head[0] == f"{tree.FORMAT_TAG} 1" and head[-1] == "nodes 3"
+        with pytest.raises(ValueError, match=match):
+            model_from_text("\n".join(edit(head, nodes)) + "\n")
+
+    @pytest.mark.parametrize("left, right, match", [
+        (1, 1, "node 0 has identical children"),
+        (1, 3, "node 0 references invalid child 3"),
+        (0, 2, "node 0 references invalid child 0"),
+    ], ids=["identical", "past_end", "root"])
+    def test_rejects_bad_children(self, left, right, match):
+        head, nodes = cart_model_text(1)
+        with pytest.raises(ValueError, match=match):
+            model_from_text(edited(head, nodes, {(0, 4): left, (0, 5): right}))
+
     @pytest.mark.parametrize("key", ["lambda", "min_gain"])
     def test_rejects_non_finite_header(self, key):
         head, nodes = cart_model_text(1)
