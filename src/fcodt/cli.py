@@ -168,8 +168,6 @@ def cmd_predict(args) -> int:
     X = read_table(args.data, args.format, args.target, args.drop).features
     if X.shape[0] == 0:  # a table without rows has no width: it takes the model's
         X = X.reshape(0, model.input_dim)
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"model expects {model.input_dim} features, data has {X.shape[1]}")
     if args.explain:
         header = ("prediction", "path_nodes", "path_scores")
         rows = _explain_rows(model, route_batch(model, X))

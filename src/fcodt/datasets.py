@@ -40,8 +40,8 @@ class Dataset:
     clean_targets: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.targets, dtype=np.float64).reshape(-1)
+        X = np.array(self.features, dtype=np.float64, order="C")
+        y = np.array(self.targets, dtype=np.float64).reshape(-1)
         if X.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if X.shape[0] != y.shape[0]:
@@ -49,19 +49,16 @@ class Dataset:
                 f"features have {X.shape[0]} rows but targets have length {y.shape[0]}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("dataset contains non-finite values")
-        X = X.copy()
-        y = y.copy()
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", y)
         if self.clean_targets is not None:
-            f = np.asarray(self.clean_targets, dtype=np.float64).reshape(-1)
+            f = np.array(self.clean_targets, dtype=np.float64).reshape(-1)
             if f.shape[0] != y.shape[0]:
                 raise ValueError("clean_targets length mismatch")
             if not np.all(np.isfinite(f)):
                 raise ValueError("clean_targets contain non-finite values")
-            f = f.copy()
             f.flags.writeable = False
             object.__setattr__(self, "clean_targets", f)
 

@@ -290,14 +290,14 @@ def sweep_cells(config: ExperimentConfig, kind: str) -> list:
     and wall time of the record whose ``_KEY_FIELDS`` are ``key``. Raises
     ValueError for a config value that this sweep's cells would refuse."""
     if kind == "depth":
-        params = [(d, 2000) for d in config.depths]
+        params = [(d, d, 2000) for d in config.depths]
         name = "depth"
     elif kind == "samples":
-        params = [(config.max_depth, n) for n in config.sample_sizes]
+        params = [(n, config.max_depth, n) for n in config.sample_sizes]
         name = "n_samples"
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    for depth, n_train in params:
+    for _, depth, n_train in params:
         config.criteria(max_depth=depth)
         if n_train < config.folds:
             raise ValueError(f"sample size {n_train} is below folds={config.folds}")
@@ -308,8 +308,7 @@ def sweep_cells(config: ExperimentConfig, kind: str) -> list:
         if dataset not in SIM_GENERATORS:
             raise ValueError(f"sweeps run on simulated datasets only, got {dataset!r}")
         for method in config.methods:
-            for depth, n_train in params:
-                param = depth if name == "depth" else n_train
+            for param, depth, n_train in params:
                 for rep in range(config.repeats):
                     seed = cell_seed(config.seed_base, dataset, method, name, param, rep)
                     cells.append(((method, dataset, name, float(param), seed, "mse"),
@@ -450,8 +449,6 @@ def rank_sum_test(sample_a, sample_b):
 
     tie_term = sum(t ** 3 - t for t in tie_sizes)
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if sigma2 <= 0:
-        return w, 1.0
     # continuity correction toward the mean
     z = (w - mu - math.copysign(0.5, w - mu)) / math.sqrt(sigma2)
     p = math.erfc(abs(z) / math.sqrt(2.0))

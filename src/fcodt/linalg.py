@@ -96,7 +96,7 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
     """
     X = _as_matrix(X)
     y = _as_vector(y)
-    n, d = X.shape
+    n = X.shape[0]
     if n != y.shape[0]:
         raise ValueError(f"dimension mismatch: X has {n} rows, y has length {y.shape[0]}")
     if n < 1:

@@ -167,10 +167,7 @@ def verify_orthogonal_expansion(model: ObliqueTreeModel, data: Dataset) -> float
 def stump_gram_matrix(basis: StumpBasis) -> np.ndarray:
     """Empirical Gram matrix of the stump columns (identity when the
     basis is orthonormal)."""
-    n = basis.stumps.shape[0]
-    if basis.stumps.shape[1] == 0:
-        return np.zeros((0, 0))
-    return basis.stumps.T @ basis.stumps / n
+    return basis.stumps.T @ basis.stumps / basis.stumps.shape[0]
 
 
 def linear_impurity_decrease(model: ObliqueTreeModel, data: Dataset) -> dict[int, float]:

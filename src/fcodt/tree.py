@@ -614,8 +614,6 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     ``best_residual_threshold``; "axis" runs ``best_threshold`` on every
     column (``_column_threshold``) and keeps the first best one as a unit
     projection with zero bias."""
-    if not nodes:
-        return []
     if finder == "axis":
         fits, found = [], []
         for (X_t, y_t), n_total in zip(nodes, n_totals):
@@ -844,25 +842,19 @@ def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
     """((tree, slot), ``_split_nodes`` entry or exception) for each node of
     ``batch``; when the batch fails, each tree's nodes are retried alone
     and a tree that still fails gets its exception. Nothing is raised."""
-    def run(items):
-        return _split_nodes([(X_t, y_t) for _, _, X_t, y_t in items],
-                            np.array([lams[i] for i, _, _, _ in items]),
-                            np.array([sizes[i] for i, _, _, _ in items]),
-                            criteria, finder)
     keys = [(i, slot) for i, slot, _, _ in batch]
     try:
-        return list(zip(keys, run(batch)))
+        return list(zip(keys, _split_nodes([(X_t, y_t) for _, _, X_t, y_t in batch],
+                                           np.array([lams[i] for i, _ in keys]),
+                                           np.array([sizes[i] for i, _ in keys]),
+                                           criteria, finder)))
     except Exception as exc:  # isolate the failing trees
-        if len({i for i, _ in keys}) == 1:
+        trees = dict.fromkeys(i for i, _ in keys)
+        if len(trees) == 1:
             return [(key, exc) for key in keys]
-    out = []
-    for tree in dict.fromkeys(i for i, _ in keys):
-        items = [item for item in batch if item[0] == tree]
-        try:
-            out.extend(zip(((i, slot) for i, slot, _, _ in items), run(items)))
-        except Exception as exc:
-            out.extend(((i, slot), exc) for i, slot, _, _ in items)
-    return out
+    return [entry for tree in trees
+            for entry in _split_batch([item for item in batch if item[0] == tree],
+                                      lams, sizes, criteria, finder)]
 
 
 def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = None):
@@ -880,8 +872,7 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
     if X.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input has {X.shape[1]} features but model expects {model.input_dim}")
+        raise ValueError(f"model expects {model.input_dim} features, data has {X.shape[1]}")
     if not np.isfinite(X).all():
         row = np.argmin(np.isfinite(X).all(axis=1))
         raise ValueError(f"input row {row} has a NaN or infinite value")

@@ -44,6 +44,19 @@ class TestAtomicWrite:
         assert peak < 2 * 2**20
         assert path.read_bytes() == text.encode("utf-8")
 
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]  # no *.tmp left
+
 
 class TestSimulate:
     def test_byte_identical_across_runs(self, tmp_path):
@@ -542,6 +555,12 @@ class TestSweepCommand:
         out_dir = tmp_path / "out"
         assert run("sweep", "--config", str(cfg), "--kind", "depth",
                    "--out", str(out_dir)) == 1
+
+    def test_config_not_an_object_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["fc_odt"]))
+        with pytest.raises(ValueError, match="run config must be a JSON object"):
+            load_run_config(str(cfg))
 
 
     def test_unknown_method_refused_before_any_cell(self, tmp_path, capsys):

@@ -351,6 +351,13 @@ class TestBenchmark:
         assert unscaled[0].method == records[0].method == "fc_odt"
         assert unscaled[0].value != records[0].value
 
+    def test_real_dataset_without_manifest_skipped(self):
+        cells, skipped = evaluation.bench_cells(fast_config(datasets=("sim1", "housing")),
+                                                None, ".")
+        assert skipped == [{"dataset": "housing",
+                            "reason": "no manifest supplied for real dataset 'housing'"}]
+        assert {key[1] for key, _, _ in cells} == {"sim1"}
+
     def test_missing_real_dataset_skipped(self):
         config = fast_config(datasets=("sim1", "housing"))
         records, skipped = run_benchmark(config, manifest={}, base_dir=".")
@@ -469,6 +476,15 @@ class TestRankSumTest:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             rank_sum_test([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [([0.0] * 7 + [1.0], [0.0] * 8),
+                                      ([0.0] * 8, [1.0] * 8),
+                                      ([1.0] * 3 + [0.0] * 10, [1.0])])
+    def test_two_values_above_size_12_give_a_finite_p(self, a, b):
+        # the tie-corrected variance is smallest with one value set apart,
+        # and is still n1 * n2 / 4
+        _, p = rank_sum_test(a, b)
+        assert math.isfinite(p) and 0 < p <= 1
 
     def test_shifted_large_samples_significant(self):
         rng = np.random.default_rng(3)

@@ -235,6 +235,11 @@ class TestSingularChildFits:
                            match="singular system in the child fits of the threshold search"):
             fit_fc_odt(binary_column_dataset(), 0.0, SplitCriteria(max_depth=1))
 
+    def test_grid_search_refuses_when_every_lambda_fails(self):
+        with pytest.raises(ValueError, match="grid search failed for every lambda"):
+            grid_search_lambda(binary_column_dataset(), "fc_odt",
+                               SplitCriteria(max_depth=1), [0.0], 2, 0)
+
     def test_grid_search_records_the_refusal(self, monkeypatch):
         # the four CV fits share one growth batch; its search fails, so
         # each tree is searched again alone and only the lambda 0 trees fail

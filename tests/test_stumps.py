@@ -40,6 +40,13 @@ class TestStumpBasis:
         gram = stump_gram_matrix(basis)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-6
 
+    def test_gram_of_a_root_only_tree_is_empty(self):
+        ds = random_dataset()
+        model = fit_fc_odt(Dataset(ds.features, np.zeros(ds.n)), 1e-8)
+        assert model.n_internal == 0
+        gram = stump_gram_matrix(compute_stumps(model, ds))
+        assert gram.shape == (0, 0) and gram.dtype == np.float64
+
     def test_one_column_per_internal_node(self):
         model, ds = fitted(seed=3)
         basis = compute_stumps(model, ds)

@@ -715,6 +715,15 @@ class TestNonFiniteInput:
             predict_batch(model, X)
 
 
+class TestWidthMismatch:
+    @pytest.mark.parametrize("router", sorted(ROUTERS))
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_rejected_by_every_router(self, router, width):
+        model, _ = depth2_cart()
+        with pytest.raises(ValueError, match=f"^model expects 4 features, data has {width}$"):
+            ROUTERS[router](model, np.zeros((2, width)))
+
+
 FITS = {
     "fc_odt": lambda ds, crit: fit_fc_odt(ds, 0.05, crit),
     "ridge_odt": lambda ds, crit: fit_ridge_odt(ds, 0.05, crit),
