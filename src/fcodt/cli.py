@@ -166,7 +166,7 @@ def cmd_predict(args) -> int:
         model = model_from_text(fh.read())
     # without --target every column not dropped is a feature
     X = read_table(args.data, args.format, args.target, args.drop).features
-    if X.shape[0] == 0:  # a table without rows has no width: it takes the model's
+    if X.shape == (0, 0):  # an empty file has no width: it takes the model's
         X = X.reshape(0, model.input_dim)
     if args.explain:
         header = ("prediction", "path_nodes", "path_scores")
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice
 
 import numpy as np
@@ -111,24 +112,26 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
+# the column groups of the five ridge terms of both simulated functions;
+# each term is a link of its group's mean
+_SIM_RIDGES = ((0,), (1, 2), (3, 4, 5), (6, 7, 8, 9), (0, 2, 4, 6, 8))
+
+
+def _ridge_means(X):
+    """The mean of each ``_SIM_RIDGES`` group of columns of ``X``, its
+    columns summed left to right as the formula reads."""
+    X = np.asarray(X, dtype=np.float64)
+    return (reduce(np.add, (X[:, j] for j in cols)) / len(cols) for cols in _SIM_RIDGES)
+
+
 def sim1_function(X: np.ndarray) -> np.ndarray:
     """Sum of five rectified averaged-coordinate ridge terms."""
-    X = np.asarray(X, dtype=np.float64)
-    return (_relu(X[:, 0])
-            + _relu((X[:, 1] + X[:, 2]) / 2.0)
-            + _relu((X[:, 3] + X[:, 4] + X[:, 5]) / 3.0)
-            + _relu((X[:, 6] + X[:, 7] + X[:, 8] + X[:, 9]) / 4.0)
-            + _relu((X[:, 0] + X[:, 2] + X[:, 4] + X[:, 6] + X[:, 8]) / 5.0))
+    return reduce(np.add, map(_relu, _ridge_means(X)))
 
 
 def sim2_function(X: np.ndarray) -> np.ndarray:
     """Same ridge structure as sim1 with exponential links."""
-    X = np.asarray(X, dtype=np.float64)
-    return (np.exp(X[:, 0])
-            + np.exp((X[:, 1] + X[:, 2]) / 2.0)
-            + np.exp((X[:, 3] + X[:, 4] + X[:, 5]) / 3.0)
-            + np.exp((X[:, 6] + X[:, 7] + X[:, 8] + X[:, 9]) / 4.0)
-            + np.exp((X[:, 0] + X[:, 2] + X[:, 4] + X[:, 6] + X[:, 8]) / 5.0))
+    return reduce(np.add, map(np.exp, _ridge_means(X)))
 
 
 def _gen_sim(name: str, fn, n: int, sigma: float, seed: int) -> Dataset:
@@ -213,14 +216,10 @@ def parse_libsvm(source, expected_dim: int | None = None,
     Indices are 1-based and must be strictly increasing within a line;
     absent indices are zero-filled.
     """
-    lines = _lines(source)
     targets = []
     rows = []
     max_dim = expected_dim or 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _numbered(_lines(source)):
         parts = line.split()
         try:
             target = float(parts[0])
@@ -231,10 +230,8 @@ def parse_libsvm(source, expected_dim: int | None = None,
         entries = []
         prev = 0
         for tok in parts[1:]:
-            if ":" not in tok:
-                raise ValueError(f"line {lineno}: malformed token {tok!r}")
-            idx_s, val_s = tok.split(":", 1)
             try:
+                idx_s, val_s = tok.split(":", 1)
                 idx = int(idx_s)
                 val = float(val_s)
             except ValueError:
@@ -408,17 +405,9 @@ def kfold_indices(n: int, k: int, seed: int) -> list[SplitAssignment]:
     """k validation folds partitioning [0, n); sizes differ by at most 1."""
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    folds = []
-    start = 0
-    for size in sizes:
-        val = perm[start:start + size]
-        train = np.concatenate([perm[:start], perm[start + size:]])
-        folds.append(SplitAssignment(train, val))
-        start += size
-    return folds
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [SplitAssignment(np.concatenate(folds[:i] + folds[i + 1:]), val)
+            for i, val in enumerate(folds)]
 
 
 def minmax_scale(train: Dataset, others: tuple[Dataset, ...] = ()) -> tuple[Dataset, ...]:

@@ -30,6 +30,7 @@ from .datasets import (
     Dataset,
     _csv,
     _fmt,
+    _numbered,
     check_manifest,
     gen_sim1,
     gen_sim2,
@@ -351,7 +352,7 @@ def bench_cells(config: ExperimentConfig, manifest: dict | None, base_dir: str):
                     raise FileNotFoundError(f"no manifest supplied for real dataset {name!r}")
                 real = load_from_manifest(name, manifest, base_dir)
             except (FileNotFoundError, KeyError) as exc:
-                skipped.append({"dataset": name, "reason": str(exc)})
+                skipped.append({"dataset": name, "reason": exc.args[0]})
                 continue
         for rep in range(config.repeats):
             data = real if real is not None else SIM_GENERATORS[name](
@@ -511,17 +512,16 @@ def check_alpha(alpha: float, name: str = "alpha"):
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {alpha}")
 
 
-def significance_markers(per_repeat: dict, reference_method: str = "fc_odt",
-                         alpha: float = 0.1):
-    """Two-sided rank-sum comparison of every method against the reference
-    on each dataset: '+' when the reference is significantly better, '-'
+def significance_markers(per_repeat: dict, alpha: float = 0.1):
+    """Two-sided rank-sum comparison of every method against ``fc_odt``
+    on each dataset: '+' when ``fc_odt`` is significantly better, '-'
     when significantly worse, '' otherwise. Raises ValueError for an
     ``alpha`` that ``check_alpha`` refuses."""
     check_alpha(alpha)
     out = []
     for (dataset, method), vals in sorted(per_repeat.items()):
-        ref_vals = per_repeat.get((dataset, reference_method))
-        if not ref_vals or method == reference_method:
+        ref_vals = per_repeat.get((dataset, "fc_odt"))
+        if not ref_vals or method == "fc_odt":
             continue
         _, p = rank_sum_test(ref_vals, vals)
         marker = ""
@@ -554,11 +554,8 @@ def load_reference_scores(path: str) -> list[dict]:
     rows = []
     header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
+        for number, line in _numbered(fh):
+            cells = line.strip().split(",")
             where = f"reference scores {path} line {number}"
             if header is None:
                 missing = [name for name in ("dataset", "method", "mean", "std")

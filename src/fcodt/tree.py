@@ -720,8 +720,8 @@ METHODS = {
 def fit_method_many(method: str, jobs, criteria: SplitCriteria | None = None) -> list:
     """A ``method`` tree (see ``METHODS``) for each (data, lam) in the
     iterable ``jobs``, all grown together by ``_grow``; each entry is the
-    model or the exception its fit raised. Raises ValueError for a name
-    not in ``METHODS``."""
+    model or the ValueError its fit raised; any other exception is raised.
+    Raises ValueError for a name not in ``METHODS``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     concatenate, finder, takes_lambda = METHODS[method]
@@ -745,7 +745,7 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
     The trees grow together, one level at a time, so a level's ridge fits
     and threshold searches run in a few batches over all trees. A node's
     arithmetic depends on its own rows only, so every tree is exactly the
-    one grown alone. Each entry is the model, or the exception its fit
+    one grown alone. Each entry is the model, or the ValueError its fit
     raised. Only each tree's own reordered copy of its data is kept, so a
     generator of jobs holds one copy per tree. A child gets its rows of
     ``[X_t, scores]`` only when the next level searches it (``searched``);
@@ -839,16 +839,16 @@ def _row_batches(work: list):
 
 def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
                  finder: str) -> list:
-    """((tree, slot), ``_split_nodes`` entry or exception) for each node of
-    ``batch``; when the batch fails, each tree's nodes are retried alone
-    and a tree that still fails gets its exception. Nothing is raised."""
+    """((tree, slot), ``_split_nodes`` entry or ValueError) for each node
+    of ``batch``; when the batch fails, each tree's nodes are retried alone
+    and a tree that still fails gets its ValueError; others are raised."""
     keys = [(i, slot) for i, slot, _, _ in batch]
     try:
         return list(zip(keys, _split_nodes([(X_t, y_t) for _, _, X_t, y_t in batch],
                                            np.array([lams[i] for i, _ in keys]),
                                            np.array([sizes[i] for i, _ in keys]),
                                            criteria, finder)))
-    except Exception as exc:  # isolate the failing trees
+    except ValueError as exc:  # isolate the failing trees
         trees = dict.fromkeys(i for i, _ in keys)
         if len(trees) == 1:
             return [(key, exc) for key in keys]

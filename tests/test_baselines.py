@@ -113,6 +113,11 @@ class TestCart:
                 assert node.sample_count >= 8
 
 
+def test_kind_must_be_a_baseline_kind():
+    with pytest.raises(ValueError, match="^unknown baseline kind 'cart'$"):
+        fit_baseline("cart", make_dataset(), 0.1)
+
+
 class TestRidgeOdt:
     def test_same_root_split_as_fc(self):
         # no concatenation has happened at the root, so both variants fit

@@ -86,6 +86,12 @@ class TestSimulate:
         assert "sigma must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_rows_refused(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--which", "sim1", "--n", "0", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", "error: n must be at least 1\n")
+        assert not out.exists()
+
     def test_generators_come_from_evaluation(self, tmp_path, monkeypatch):
         # a generator in evaluation.SIM_GENERATORS is a --which choice
         monkeypatch.setitem(evaluation.SIM_GENERATORS, "sim9",
@@ -429,6 +435,29 @@ class TestTrainPredict:
         assert capsys.readouterr() == ("", "error: model expects 10 features, data has 11\n")
         assert not pred_path.exists()
 
+    def test_predict_header_only_table_width_checked(self, tmp_path, sim_csv, capsys):
+        # a header-only table has a width, checked like any other table's;
+        # only an empty file takes the model's
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", str(sim_csv), "--target", "y", "--drop", "f",
+            "--lambda", "0.1", "--max-depth", "3", "--out", str(model_path))
+        capsys.readouterr()
+        header = tmp_path / "header.csv"
+        header.write_text(sim_csv.read_text().splitlines()[0] + "\n")
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(header),
+                   "--target", "y", "--out", str(pred_path)) == 1
+        assert capsys.readouterr() == ("", "error: model expects 10 features, data has 11\n")
+        assert not pred_path.exists()
+
+    def test_train_without_features_refused(self, tmp_path, sim_csv, capsys):
+        model_path = tmp_path / "model.txt"
+        drops = [f"x{j}" for j in range(1, 11)] + ["f"]
+        assert run("train", "--data", str(sim_csv), "--target", "y", "--drop", *drops,
+                   "--lambda", "0.1", "--out", str(model_path)) == 1
+        assert capsys.readouterr() == ("", "error: dataset has no features\n")
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("text", ["", "\n \n", "x1,x2,y\n"])
     def test_train_on_empty_table_refused(self, tmp_path, capsys, text):
         data = tmp_path / "empty.csv"
@@ -520,6 +549,14 @@ def write_config(path, **kw):
 
 
 class TestSweepCommand:
+    def test_empty_lambda_grid_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", lambda_grid=[])
+        out_dir = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--kind", "depth",
+                   "--out", str(out_dir)) == 1
+        assert capsys.readouterr() == ("", "error: lambda grid must be nonempty\n")
+        assert not out_dir.exists()
+
     def test_outputs_and_resume(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         out_dir = tmp_path / "out"
@@ -620,6 +657,18 @@ class TestBenchCommand:
                    "--out", str(out_dir)) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["skipped"][0]["dataset"] == "housing"
+
+    def test_dataset_not_in_manifest_reported_unquoted(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")
+        cfg = write_config(tmp_path / "cfg.json", datasets=["housing"])
+        out_dir = tmp_path / "bench"
+        assert run("bench", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out", str(out_dir)) == 0
+        reason = "dataset 'housing' not in manifest"
+        assert f"skipped housing: {reason}\n" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["skipped"] == [{"dataset": "housing", "reason": reason}]
 
     @pytest.mark.parametrize("entry, message", [
         ("data/abalone.libsvm", "manifest entry 'abalone' must be an object"),

@@ -40,6 +40,23 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((3, 1, 1))])
+    def test_rejects_features_not_2d(self, features):
+        with pytest.raises(ValueError, match="^features must be a 2-d matrix$"):
+            Dataset(features, np.zeros(3))
+
+    @pytest.mark.parametrize("clean, message", [
+        (np.zeros(2), "clean_targets length mismatch"),
+        (np.array([0.0, np.nan, 0.0]), "clean_targets contain non-finite values"),
+    ])
+    def test_rejects_bad_clean_targets(self, clean, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), clean_targets=clean)
+
+    def test_csv_with_clean_targets_needs_them(self):
+        with pytest.raises(ValueError, match="^dataset has no clean targets to include$"):
+            dataset_to_csv(Dataset(np.zeros((2, 1)), np.zeros(2)), include_clean=True)
+
     def test_arrays_immutable(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
@@ -85,6 +102,21 @@ class TestSimGenerators:
         a = gen_sim1(100, 0.01, 1)
         b = gen_sim1(100, 0.01, 2)
         assert not np.array_equal(a.features, b.features)
+
+    def test_ridge_terms_summed_left_to_right(self):
+        # the formula as the paper writes it: each group's columns added in
+        # order, divided by the group size, the five terms added in order
+        X = np.random.default_rng(4).uniform(-3.0, 3.0, size=(500, 10))
+        means = [X[:, 0],
+                 (X[:, 1] + X[:, 2]) / 2.0,
+                 (X[:, 3] + X[:, 4] + X[:, 5]) / 3.0,
+                 (X[:, 6] + X[:, 7] + X[:, 8] + X[:, 9]) / 4.0,
+                 (X[:, 0] + X[:, 2] + X[:, 4] + X[:, 6] + X[:, 8]) / 5.0]
+        for fn, link in ((sim1_function, lambda z: np.maximum(z, 0.0)),
+                         (sim2_function, np.exp)):
+            terms = [link(m) for m in means]
+            expect = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+            assert fn(X).tobytes() == expect.tobytes()
 
     def test_features_in_box(self):
         ds = gen_sim2(1000, 0.0, 5)
@@ -144,6 +176,12 @@ class TestParseLibsvm:
     def test_empty_input(self):
         ds = parse_libsvm("")
         assert ds.n == 0
+
+    @pytest.mark.parametrize("token", ["3:abc", "3", "abc:1"])
+    def test_malformed_token_named(self, token):
+        with pytest.raises(ValueError) as got:
+            parse_libsvm(f"\n \t\n1 1:2.0 {token}\n")
+        assert str(got.value) == f"line 3: malformed token {token!r}"
 
     def test_malformed_target_reports_line(self):
         with pytest.raises(ValueError, match="line 2: malformed target 'one'"):
@@ -663,6 +701,29 @@ class TestSplits:
         sizes = sorted(f.test_indices.size for f in folds)
         assert sizes == [2, 2, 2, 2, 3]
 
+    def test_overlapping_assignment_rejected(self):
+        with pytest.raises(ValueError, match="^train/test indices overlap$"):
+            datasets.SplitAssignment([0, 1, 2], [2, 3])
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError,
+                           match="^train_fraction must lie strictly between 0 and 1$"):
+            train_test_split(gen_sim1(10, 0.0, 0), fraction, 0)
+
+    @pytest.mark.parametrize("n, k", [(11, 4), (12, 4), (5, 5), (7, 2)])
+    def test_kfold_runs_of_the_permutation(self, n, k):
+        # fold i validates on the i-th run of the seeded permutation (the
+        # first n % k runs one row longer) and trains on the other runs in
+        # order
+        perm = np.random.default_rng(9).permutation(n).tolist()
+        sizes = [n // k + (i < n % k) for i in range(k)]
+        starts = np.cumsum([0] + sizes).tolist()
+        for i, fold in enumerate(kfold_indices(n, k, 9)):
+            lo, hi = starts[i], starts[i + 1]
+            assert fold.test_indices.tolist() == perm[lo:hi]
+            assert fold.train_indices.tolist() == perm[:lo] + perm[hi:]
+
     def test_kfold_k_bounds(self):
         with pytest.raises(ValueError):
             kfold_indices(5, 6, 0)
@@ -680,6 +741,13 @@ class TestManifest:
         manifest = load_manifest(str(manifest_file))
         ds = load_from_manifest("tiny", manifest, str(tmp_path))
         assert ds.n == 2 and ds.dim == 2
+
+    def test_manifest_not_an_object_refused(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError,
+                           match="^manifest must be a JSON object keyed by dataset name$"):
+            load_manifest(str(path))
 
     def test_csv_entry(self, tmp_path):
         (tmp_path / "tiny.csv").write_text("a,t,b\n1,10,2\n3,30,4\n")

@@ -44,6 +44,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mse([1.0], [1.0, 2.0])
 
+    def test_mse_needs_one_value(self):
+        with pytest.raises(ValueError, match="^need at least one value$"):
+            mse([], [])
+
+    def test_r2_length_mismatch(self):
+        with pytest.raises(ValueError, match="^prediction and target lengths differ$"):
+            r2([1.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_r2_perfect(self):
         assert r2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
 
@@ -159,6 +167,10 @@ class TestGridSearch:
         assert all(row["mse"] == np.inf for row in failed)
         assert all("finite and nonnegative" in row["error"] for row in failed)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^lambda grid must be nonempty$"):
+            grid_search_lambda(tiny_dataset(), "fc_odt", SplitCriteria(max_depth=2), [], 2, 0)
+
     def test_nan_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda grid entry nan cannot be ordered"):
             grid_search_lambda(gen_sim1(200, 0.01, 0), "fc_odt", SplitCriteria(max_depth=2),
@@ -218,6 +230,17 @@ class TestFitMethodMany:
         assert not isinstance(models[0], Exception)
         assert models[0].lam == 0.0
         assert isinstance(models[1], ValueError)
+
+    def test_a_fault_in_the_split_search_is_raised(self, monkeypatch):
+        # a fit fails only as a ValueError; anything else is a fault in the
+        # code, raised rather than recorded as a failed CV fit
+        def broken(*args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr("fcodt.tree._split_nodes", broken)
+        jobs = [(tiny_dataset(n=60, seed=4), 0.1), (tiny_dataset(n=60, seed=5), 0.1)]
+        with pytest.raises(TypeError, match="^boom$"):
+            evaluation.fit_method_many("fc_odt", jobs, SplitCriteria(max_depth=2))
 
 
 def test_config_rejects_unknown_method():
@@ -308,6 +331,10 @@ class TestSweeps:
         pooled = run_depth_sweep(fast_config(workers=2))
         assert records_to_csv(sequential) == records_to_csv(pooled)
 
+    def test_unknown_sweep_kind_refused(self):
+        with pytest.raises(ValueError, match="^unknown sweep kind 'width'$"):
+            evaluation.sweep_cells(fast_config(), "width")
+
 
 class TestBenchmark:
     def test_sim_benchmark_records_and_aggregate(self):
@@ -357,6 +384,20 @@ class TestBenchmark:
         assert skipped == [{"dataset": "housing",
                             "reason": "no manifest supplied for real dataset 'housing'"}]
         assert {key[1] for key, _, _ in cells} == {"sim1"}
+
+    def test_dataset_not_in_manifest_skipped_with_its_reason(self):
+        records, skipped = run_benchmark(fast_config(datasets=("housing",)), manifest={})
+        assert records == []
+        assert skipped == [{"dataset": "housing", "reason": "dataset 'housing' not in manifest"}]
+
+    def test_aggregate_reads_r2_records_only(self):
+        records = [ExperimentRecord("fc_odt", "sim1", 1, "depth", 4.0, "r2", 0.5),
+                   ExperimentRecord("fc_odt", "sim1", 2, "depth", 4.0, "mse", 9.0),
+                   ExperimentRecord("cart", "sim1", 3, "depth", 4.0, "mse", 1.0)]
+        table, ranks, per_repeat = aggregate_benchmark(records)
+        assert per_repeat == {("sim1", "fc_odt"): [0.5]}
+        assert table == {"sim1": {"fc_odt": (0.5, 0.0)}}
+        assert ranks == {"fc_odt": 1.0}
 
     def test_missing_real_dataset_skipped(self):
         config = fast_config(datasets=("sim1", "housing"))

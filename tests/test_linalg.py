@@ -70,6 +70,16 @@ class TestSpdSolve:
         with pytest.raises(ValueError):
             spd_solve(np.eye(3), np.ones(2))
 
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError, match="^matrix must be square, got 2x3$"):
+            spd_solve(np.ones((2, 3)), np.ones(2))
+
+    def test_exact_zero_met_by_the_solve_names_the_last_pivot(self):
+        # the Cholesky check passes, and the solve meets the exact zero
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            spd_solve(np.array([[5.0, 8.0], [8.0, 12.8]]), np.ones(2))
+        assert err.value.pivot_index == 1
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         M = rng.normal(size=(5, 5))
@@ -164,6 +174,24 @@ class TestSolveRidge:
         resid = (X.T @ X + lam * np.eye(3)) @ sol.weights - X.T @ y
         scale = max(1.0, float(np.max(np.abs(X.T @ y))))
         assert np.max(np.abs(resid)) <= 1e-8 * scale
+
+
+    @pytest.mark.parametrize("X, y, message", [
+        (np.ones(3), np.ones(3), "expected a 2-d matrix, got ndim=1"),
+        (np.ones((3, 2)), np.array([1.0, np.nan, 1.0]), "vector contains non-finite entries"),
+        (np.ones((3, 2)), np.ones(2), "dimension mismatch: X has 3 rows, y has length 2"),
+        (np.ones((0, 2)), np.ones(0), "need at least one sample"),
+    ])
+    def test_refused_inputs(self, X, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_ridge(X, y, 1.0)
+
+    def test_identical_columns_at_a_vanishing_penalty(self):
+        # 1e-300 vanishes beside the Gram entries, so the system stays singular
+        x = np.arange(5.0)
+        with pytest.raises(SingularSystemError,
+                           match="^singular system: matrix is not positive definite$"):
+            solve_ridge(np.column_stack([x, x]), x, 1e-300)
 
 
 class TestPredictLinear:

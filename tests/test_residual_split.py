@@ -65,6 +65,15 @@ class TestBestResidualThreshold:
         thr, gain = best_residual_threshold(X[:, 0], X, np.zeros(8), 0.1, 8, crit)
         assert (thr, gain) == (1.5, 0.0)
 
+    @pytest.mark.parametrize("features, lam, message", [
+        (np.arange(8.0), 0.1, "features must be a matrix with one row per projection"),
+        (np.arange(8.0).reshape(-1, 1), -1.0, "lambda must be finite and nonnegative, got -1.0"),
+    ])
+    def test_refused_inputs(self, features, lam, message):
+        crit = SplitCriteria(max_depth=1, min_samples_split=4, min_samples_leaf=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            best_residual_threshold(np.arange(8.0), features, np.arange(8.0) % 2, lam, 8, crit)
+
     def test_unpenalised_children_need_more_rows_than_features(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 3))

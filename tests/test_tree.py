@@ -45,6 +45,10 @@ class TestSplitCriteria:
         with pytest.raises(ValueError):
             SplitCriteria(min_samples_split=10, min_samples_leaf=8)
 
+    def test_leaf_minimum_must_be_positive(self):
+        with pytest.raises(ValueError, match="^min_samples_leaf must be at least 1$"):
+            SplitCriteria(min_samples_leaf=0)
+
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             SplitCriteria(max_depth=0)
@@ -93,6 +97,15 @@ class TestBestThreshold:
         thr, gain = best_threshold(proj, y, 4, loose_criteria())
         assert thr == 2.5
         assert gain == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("proj, y, n_total, message", [
+        (np.arange(3.0), np.arange(4.0), 4, "projections and targets must have the same length"),
+        (np.ones(1), np.ones(1), 1, "need at least 2 samples to search for a threshold"),
+        (np.arange(4.0), np.arange(4.0), 3, "n_total cannot be smaller than the node size"),
+    ])
+    def test_refused_inputs(self, proj, y, n_total, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            best_threshold(proj, y, n_total, loose_criteria())
 
     def test_constant_projections(self):
         assert best_threshold(np.ones(5), np.arange(5.0), 5, loose_criteria()) is None
@@ -706,6 +719,11 @@ class TestNonFiniteInput:
         X[0, :] = value
         with pytest.raises(ValueError, match="NaN or infinite"):
             ROUTERS[router](model, X)
+
+    def test_vector_refused(self):
+        model, ds = depth2_cart()
+        with pytest.raises(ValueError, match="^expected a 2-d matrix$"):
+            predict_batch(model, ds.features[0])
 
     def test_names_the_row(self):
         model, ds = depth2_cart()
