@@ -108,16 +108,18 @@ def load_run_config(path: str):
     return ExperimentConfig(**kwargs), manifest_path, hashlib.sha256(data).hexdigest()
 
 
+def _number(text: str, name: str) -> float:
+    """``text`` as a float; a ValueError names it as ``name``, the flag or
+    the flag's entry it came from, when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a number") from None
+
+
 def _parse_grid(text: str) -> tuple:
-    """The comma-separated λ values of ``--grid``; a ValueError names the
-    flag and the entry that is not a number."""
-    grid = []
-    for entry in text.split(","):
-        try:
-            grid.append(float(entry))
-        except ValueError:
-            raise ValueError(f"--grid entry {entry!r} is not a number") from None
-    return tuple(grid)
+    """The comma-separated λ values of ``--grid``."""
+    return tuple(_number(entry, "--grid entry") for entry in text.split(","))
 
 
 def cmd_train(args) -> int:
@@ -139,7 +141,7 @@ def cmd_train(args) -> int:
             print(f"{row['lambda']:g},{row['fold']},{row['mse']:.6g}")
         print(f"chosen lambda: {lam:g}")
     else:
-        lam = float(args.lam)
+        lam = _number(args.lam, "--lambda")
     model = evaluation.fit_method(args.method, data, lam, criteria)
     atomic_write(args.out, model_to_text(model))
     train_mse = evaluation.mse(predict_batch(model, data.features), data.targets)

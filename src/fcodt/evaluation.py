@@ -165,6 +165,9 @@ class ExperimentConfig:
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
         _check_lambda_grid(self.lambda_grid)
+        for name in self.datasets:  # a cell's dataset name is a CSV field
+            if any(ch in name for ch in ",\r\n"):
+                raise ValueError(f"datasets entry {name!r} holds a comma or a line break")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method in self.methods:

@@ -57,12 +57,22 @@ def _factors(A: np.ndarray) -> bool:
     return True
 
 
+def _check_lambdas(lams) -> np.ndarray:
+    """``lams``, one penalty or several, as float64; a ValueError names
+    the first one that is not finite and nonnegative."""
+    lams = np.asarray(lams, dtype=np.float64)
+    bad = ~((lams >= 0) & (lams < np.inf))  # negative, NaN or inf
+    if bad.any():
+        raise ValueError(f"lambda must be finite and nonnegative, got {lams[bad][0]}")
+    return lams
+
+
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A: LAPACK's Cholesky
     factorisation checks positive definiteness, then ``np.linalg.solve``
     solves, the two calls ``solve_ridge_many`` makes.
 
-    When the factorisation fails, NotPositiveDefiniteError names the
+    When either call fails, NotPositiveDefiniteError names the
     pivot k of the smallest leading (k+1)x(k+1) block that fails to
     factor. An exactly singular A has a zero pivot that rounds either
     way, so it can fail there or at the next pivot, or pass the check;
@@ -76,13 +86,12 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be square, got {n}x{A.shape[1]}")
     if n != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {n}x{n}, b has length {b.shape[0]}")
-    if _factors(A):
-        try:
-            return np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:  # exactly singular
-            pass
-    raise NotPositiveDefiniteError(
-        next((k for k in range(n) if not _factors(A[:k + 1, :k + 1])), n - 1))
+    try:
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            next((k for k in range(n) if not _factors(A[:k + 1, :k + 1])), n - 1)) from None
 
 
 def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
@@ -110,10 +119,7 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
     width, each with its own penalty in ``lams``, through one batched
     factorisation. Each result depends only on its own problem."""
     d = problems[0][0].shape[1]
-    lams = np.asarray(lams, dtype=np.float64)
-    bad = ~((lams >= 0) & (lams < np.inf))  # negative, NaN or inf
-    if bad.any():
-        raise ValueError(f"lambda must be finite and nonnegative, got {lams[bad][0]}")
+    lams = _check_lambdas(lams)
     grams = np.empty((len(problems), d, d))
     rhs = np.empty((len(problems), d, 1))
     means = []
@@ -133,9 +139,13 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
         means.append((x_mean, y_mean))
     diag = np.arange(d)
     grams[:, diag, diag] += lams[:, None]
-    if not _factors(grams):
-        raise SingularSystemError("singular system: matrix is not positive definite")
-    weights = np.linalg.solve(grams, rhs)[:, :, 0]
+    # LAPACK's Cholesky check can pass an exactly singular system that the
+    # solve then meets; either failure leaves as the one error
+    try:
+        np.linalg.cholesky(grams)
+        weights = np.linalg.solve(grams, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("singular system: matrix is not positive definite") from None
     return [RidgeSolution(weights=w, intercept=float(y_mean - x_mean @ w) if fit_intercept else 0.0,
                           lam=float(lam))
             for w, (x_mean, y_mean), lam in zip(weights, means, lams)]

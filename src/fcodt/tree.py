@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, _fmt
-from .linalg import SingularSystemError, solve_ridge_many
+from .linalg import SingularSystemError, _check_lambdas, solve_ridge_many
 
 
 @dataclass(frozen=True)
@@ -598,9 +598,7 @@ def best_residual_threshold(projections: np.ndarray, features: np.ndarray,
     _check_search_inputs(s, r, n_total)
     if X.ndim != 2 or X.shape[0] != s.shape[0]:
         raise ValueError("features must be a matrix with one row per projection")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    return _residual_cuts([s], [X], [r], np.array([float(lam)]),
+    return _residual_cuts([s], [X], [r], _check_lambdas([lam]),
                           np.array([n_total]), criteria)[0]
 
 
@@ -676,8 +674,7 @@ def _check_fit(data: Dataset, lam: float):
         raise ValueError("dataset is empty")
     if data.dim < 1:
         raise ValueError("dataset has no features")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    _check_lambdas(lam)
 
 
 def _first(models: list) -> ObliqueTreeModel:

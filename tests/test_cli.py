@@ -177,6 +177,15 @@ class TestTrainPredict:
         assert f"lambda must be finite and nonnegative, got {lam}" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_malformed_lambda_names_flag(self, tmp_path, sim_csv, capsys):
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--drop", "f", "--lambda", "abc",
+                   "--out", str(model_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --lambda 'abc' is not a number\n"
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("grid, entry", [("-1,0.1,inf", "-1.0"), ("0.1,inf", "inf"),
                                              ("0.1,nan", "nan")])
     def test_bad_grid_refused_before_any_fit(self, tmp_path, sim_csv, capsys, grid, entry,
@@ -684,6 +693,18 @@ class TestBenchCommand:
         assert run("bench", "--config", str(cfg), "--manifest", str(manifest),
                    "--out", str(out_dir)) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    def test_dataset_name_with_a_comma_refused_before_any_cell(self, tmp_path, capsys):
+        # the name would be a field of results.csv and of the journal
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a,b": {"path": "ab.csv", "target": "y"}}))
+        cfg = write_config(tmp_path / "cfg.json", datasets=["a,b"], repeats=1, max_depth=2)
+        out_dir = tmp_path / "bench"
+        assert run("bench", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "error: datasets entry 'a,b' holds a comma or a line break\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "5"])

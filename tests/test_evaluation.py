@@ -157,6 +157,16 @@ class TestGridSearch:
         assert all(row["error"].startswith("SingularSystemError") for row in failed)
         assert all(np.isfinite(row["mse"]) for row in table if row["lambda"] == 0.1)
 
+    def test_unsolvable_system_recorded_with_one_spelling(self):
+        # some folds' systems pass LAPACK's Cholesky check and fail in the
+        # solve, the others fail the check: each is recorded the same way
+        x = np.tile(np.arange(7.0), 30)
+        lam, table = grid_search_lambda(Dataset(np.column_stack([x, x]), x), "ridge_odt",
+                                        SplitCriteria(max_depth=1), [1e-300, 0.1], 3, 0)
+        assert lam == 0.1
+        assert {row["error"] for row in table if row["lambda"] == 1e-300} == {
+            "SingularSystemError: singular system: matrix is not positive definite"}
+
     def test_non_finite_lambda_recorded_not_raised(self):
         ds = tiny_dataset(n=200, seed=3)
         lam, table = grid_search_lambda(ds, "fc_odt", SplitCriteria(max_depth=2),
@@ -255,8 +265,9 @@ def test_config_rejects_unknown_method():
     ({"repeats": 0}, "repeats must be at least 1"),
     ({"noise_sigma": -0.5}, "noise_sigma must be finite and nonnegative"),
     ({"methods": ()}, "methods must be nonempty"),
+    ({"datasets": ("sim1", "a,b")}, "datasets entry 'a,b' holds a comma or a line break"),
 ], ids=["methods_not_a_list", "depth_not_an_integer", "dataset_not_a_string", "no_repeats",
-        "negative_noise", "no_methods"])
+        "negative_noise", "no_methods", "dataset_name_breaks_csv"])
 def test_config_rejects_bad_value(overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**overrides)

@@ -193,6 +193,16 @@ class TestSolveRidge:
                            match="^singular system: matrix is not positive definite$"):
             solve_ridge(np.column_stack([x, x]), x, 1e-300)
 
+    @pytest.mark.parametrize("x", [np.arange(7.0), np.array([1.0, 2.0]),
+                                   np.array([0.1, 0.2, 0.7])],
+                             ids=["arange7", "two_rows", "three_rows"])
+    def test_identical_columns_that_pass_the_cholesky_check(self, x):
+        # LAPACK's check passes these; the solve meets the exact zero
+        # and fails with the same error
+        with pytest.raises(SingularSystemError,
+                           match="^singular system: matrix is not positive definite$"):
+            solve_ridge(np.column_stack([x, x]), x, 1e-300)
+
 
 class TestPredictLinear:
     def test_zero_weights_constant(self):
