@@ -139,6 +139,9 @@ def cmd_train(args) -> int:
         print("lambda,fold,val_mse")
         for row in table:
             print(f"{row['lambda']:g},{row['fold']},{row['mse']:.6g}")
+            if row["error"]:
+                print(f"lambda {row['lambda']:g} fold {row['fold']} failed: {row['error']}",
+                      file=sys.stderr)
         print(f"chosen lambda: {lam:g}")
     else:
         lam = _number(args.lam, "--lambda")

@@ -29,9 +29,9 @@ plain ridge-projection tree with mean leaves.
 Every learner grows its trees in one loop (``_grow``): one level at a
 time, several trees together, so that each level's ridge fits and
 threshold searches run as batches. Only the split search differs
-(``_split_nodes``): "mean" (ridge projection, ``best_threshold``),
-"residual" (ridge projection, ``best_residual_threshold``) or "axis"
-(the best single column by ``best_threshold``, the ``cart`` baseline).
+(``_split_nodes``): "mean" or "residual" (ridge projection, then
+``best_threshold`` or ``best_residual_threshold`` on a batch of nodes at
+once) or "axis" (the best single column by ``best_threshold``, ``cart``).
 ``METHODS`` names each learner of the comparison by its settings of that
 loop, and ``fit_method(_many)`` fits one by name.
 Every prediction goes through one router (``_walk``): ``route_batch``
@@ -178,27 +178,60 @@ def _sort_scores(s: np.ndarray):
     return order, ss, rises
 
 
-def _pick_threshold(ss: np.ndarray, sizes: np.ndarray, gains: np.ndarray,
-                    min_gain: float):
-    """(threshold, gain) of the first maximum gain, or None below
-    ``min_gain``; the threshold is the midpoint of the two scores the cut
-    falls between. Gains are floored at zero, so when no cut gains (or a
-    cut's gain is left at -inf) the first cut wins with gain 0."""
+def _cut_table(scores: list, min_leaf, stable: bool = False):
+    """(orders, order, ss, sizes, starts, node, at, bounds) of several
+    nodes' ``scores``: each node's stable ascending order (``_sort_scores``;
+    with ``stable``, numpy's stable sort at once), all rows' order with the
+    nodes one after another, the scores in it, each node's row count and
+    first row, each row's node, and each cut's last left row, node j's
+    cuts at ``at[bounds[j]:bounds[j + 1]]``. A cut leaves the rows up to it
+    on the left: the scores strictly increase there and each side keeps
+    ``min_leaf`` rows (one count, or one per node)."""
+    sizes = np.array([s.shape[0] for s in scores])
+    starts = np.cumsum(sizes) - sizes
+    orders = [np.argsort(s, kind="stable") if stable else _sort_scores(s)[0] for s in scores]
+    order = np.concatenate([o + st for o, st in zip(orders, starts)])
+    ss = np.concatenate(scores)[order]
+    node = np.repeat(np.arange(len(scores)), sizes)
+    # each node's first and one past its last cut, by their last left rows
+    row = np.arange(ss.shape[0])
+    valid = ((row >= np.repeat(starts + min_leaf - 1, sizes))
+             & (row < np.repeat(starts + sizes - min_leaf, sizes)))
+    valid[:-1] &= ss[1:] > ss[:-1]
+    at = np.flatnonzero(valid)
+    bounds = np.searchsorted(node[at], np.arange(len(scores) + 1))
+    return orders, order, ss, sizes, starts, node, at, bounds
+
+
+def _pick_cuts(ss, at, bounds, gains, min_gain: float) -> list:
+    """(threshold, gain) of each node's first maximum of the ``gains`` of a
+    cut table's cuts (``_cut_table``), or None below ``min_gain`` or without
+    cuts; the threshold is the midpoint of the two scores the cut falls
+    between. Gains are floored at zero, so when no cut gains (or a cut's
+    gain is left at -inf) the first cut wins with gain 0."""
     gains = np.maximum(gains, 0.0)
-    best = int(np.argmax(gains))  # first maximum = smallest threshold
-    gain = float(gains[best])
-    if gain < min_gain:
-        return None
-    lo = ss[sizes[best] - 1]
-    hi = ss[sizes[best]]
-    mid = (lo + hi) / 2.0
-    # keep the comparison `score < mid` consistent with the scanned
-    # partition even when the midpoint rounds onto an endpoint
-    threshold = float(mid) if mid > lo else float(hi)
-    return threshold, gain
+
+    def pick(first, end):
+        if first == end:
+            return None
+        best = first + int(np.argmax(gains[first:end]))  # first maximum = smallest threshold
+        gain = float(gains[best])
+        if gain < min_gain:
+            return None
+        lo = ss[at[best]]
+        hi = ss[at[best] + 1]
+        mid = (lo + hi) / 2.0
+        # keep the comparison `score < mid` consistent with the scanned
+        # partition even when the midpoint rounds onto an endpoint
+        return (float(mid) if mid > lo else float(hi)), gain
+
+    return [pick(first, end) for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def _check_search_inputs(s: np.ndarray, y: np.ndarray, n_total: int):
+def _check_search_inputs(projections, y, n_total: int):
+    """A one-node search's ``projections`` and ``y`` as checked 1-d floats."""
+    s = np.asarray(projections, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = s.shape[0]
     if n != y.shape[0]:
         raise ValueError("projections and targets must have the same length")
@@ -206,6 +239,7 @@ def _check_search_inputs(s: np.ndarray, y: np.ndarray, n_total: int):
         raise ValueError("need at least 2 samples to search for a threshold")
     if n_total < n:
         raise ValueError("n_total cannot be smaller than the node size")
+    return s, y
 
 
 def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
@@ -215,55 +249,44 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     The gain of a candidate is the drop in summed squared error around the
     child means, normalized by the full training-set size ``n_total``: the
     criterion of a tree whose children predict constants. One sorted pass
-    with prefix sums over the stable ascending order (``_sort_scores``);
-    ties in gain break toward the smallest threshold. Returns
-    (threshold, gain) or None when no candidate is valid (constant
-    projections, occupancy, or gain below ``min_gain``).
+    with prefix sums over the stable ascending order (``_sort_scores``),
+    by a scan that runs a batch of nodes at once (``_mean_cuts``); ties in
+    gain break toward the smallest threshold. Returns (threshold, gain) or
+    None when no candidate is valid (constant projections, occupancy, or
+    gain below ``min_gain``).
     """
-    s = np.asarray(projections, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    _check_search_inputs(s, y, n_total)
-    order, ss, rises = _sort_scores(s)
-    return _sorted_threshold(ss, y[order], rises, n_total, criteria)
+    s, y = _check_search_inputs(projections, y, n_total)
+    return _mean_cuts([s], [y], np.array([n_total]), criteria)[0]
 
 
 def _column_threshold(column: np.ndarray, y: np.ndarray, n_total: int,
                       criteria: SplitCriteria):
     """``best_threshold`` of one feature column of a node, for the axis
-    search. Integer and categorical columns tie at every node, where
-    ``_sort_scores`` would run both sorts, so the stable sort runs at
-    once."""
-    order = np.argsort(column, kind="stable")
-    ss = column[order]
-    return _sorted_threshold(ss, y[order], ss[1:] > ss[:-1], n_total, criteria)
+    search, which sorts stably at once (see ``_sort_scores``)."""
+    return _mean_cuts([column], [y], np.array([n_total]), criteria, stable=True)[0]
 
 
-def _sorted_threshold(ss: np.ndarray, ys: np.ndarray, rises: np.ndarray, n_total: int,
-                      criteria: SplitCriteria):
-    """The scan of ``best_threshold`` on the scores ``ss`` in the stable
-    ascending order, the targets ``ys`` in that order, and ``rises``, where
-    the scores strictly increase from one row to the next."""
-    n = ss.shape[0]
-    # a cut leaves k rows on the left: the scores rise between rows k - 1
-    # and k, and each side keeps min_samples_leaf rows
-    min_leaf = criteria.min_samples_leaf
-    valid = np.flatnonzero(rises[min_leaf - 1:n - min_leaf]) + min_leaf
-    if valid.size == 0:
-        return None
-
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
+def _mean_cuts(scores: list, targets: list, n_totals, criteria, stable=False) -> list:
+    """``best_threshold`` of several nodes as one batch: each node's scores,
+    targets and training-set size; ``stable`` as in ``_cut_table``."""
+    _, order, ss, sizes, starts, node, at, bounds = _cut_table(
+        scores, criteria.min_samples_leaf, stable)
+    ys = np.concatenate(targets)[order]
+    # each node's own prefix sums of y and y^2, bit for bit those of the
+    # node searched alone
+    prefix = np.stack((ys, ys * ys))
+    for start, end in zip(starts.tolist(), (starts + sizes).tolist()):
+        np.cumsum(prefix[:, start:end], axis=1, out=prefix[:, start:end])
+    cut_node = node[at]
+    n = (sizes + 0.0)[cut_node]
+    k = at - (starts - 1.0)[cut_node]  # rows on the left
+    total_sum, total_sq = prefix.take((starts + sizes - 1)[cut_node], axis=1)
+    left_sum, left_sq = prefix.take(at, axis=1)
     parent_sse = total_sq - total_sum * total_sum / n
-
-    k = valid.astype(np.float64)
-    left_sum = csum[valid - 1]
-    left_sq = csq[valid - 1]
     sse_left = left_sq - left_sum * left_sum / k
     sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - k)
-    gains = (parent_sse - sse_left - sse_right) / n_total
-    return _pick_threshold(ss, valid, gains, criteria.min_gain)
+    gains = (parent_sse - sse_left - sse_right) / n_totals[cut_node]
+    return _pick_cuts(ss, at, bounds, gains, criteria.min_gain)
 
 
 # spacing of the anchors of the child-objective scan (see _residual_cuts)
@@ -378,35 +401,19 @@ def _residual_cuts(scores: list, features: list, residuals: list,
     after it.
     """
     b = _BLOCK_ROWS
-    m = len(scores)
     p = features[0].shape[1]
-    sizes = np.array([s.shape[0] for s in scores])
-    starts = np.cumsum(sizes) - sizes
     # unpenalised child fits need more rows than features
-    min_leaf = np.where(lams > 0, criteria.min_samples_leaf,
-                        max(criteria.min_samples_leaf, p + 1))
+    orders, order, ss, sizes, starts, node, at, bounds = _cut_table(
+        scores, np.where(lams > 0, criteria.min_samples_leaf,
+                         max(criteria.min_samples_leaf, p + 1)))
     nblocks = -(-sizes // b)
     offsets = np.concatenate([[0], np.cumsum(nblocks)]) * b
     span = int(offsets[-1])
 
-    # the nodes' rows one after another, each node's in score order
-    orders = [_sort_scores(s)[0] for s in scores]
-    order = np.concatenate([o + st for o, st in zip(orders, starts)])
-    ss = np.concatenate(scores)[order]
     r = np.concatenate(residuals)[order]
-    node = np.repeat(np.arange(m), sizes)
-    rank = np.arange(ss.shape[0]) - starts[node]
-    # a cut leaves the rows up to it on the left: the scores strictly
-    # increase there and each side keeps min_leaf rows (which also keeps
-    # every cut inside its node)
-    left = rank + 1
-    valid = (left >= min_leaf[node]) & (sizes[node] - left >= min_leaf[node])
-    valid[:-1] &= ss[1:] > ss[:-1]
-    at = np.flatnonzero(valid)
-    cut_node = node[at]
-    cut_size = left[at]
-    bounds = np.searchsorted(cut_node, np.arange(m + 1))
-    cut_pos = offsets[cut_node] + cut_size
+    # each row's place in Z (below), and each cut's, after its last left row
+    zrow = offsets[node] + np.arange(ss.shape[0]) - starts[node]
+    cut_pos = zrow[at] + 1
     cutmask = _WORK.array("cutmask", (span + 1,), bool)
     cutmask[:] = False
     cutmask[cut_pos] = True
@@ -417,7 +424,6 @@ def _residual_cuts(scores: list, features: list, residuals: list,
     # zero rows, which add nothing to any sum
     Z = _WORK.array("rows", (span + b, p + 2))
     Z[:] = 0.0
-    zrow = offsets[node] + rank
     Z[zrow, 0] = 1.0
     centred = r - (np.add.reduceat(r, starts) / sizes)[node]
     Z[zrow, -1] = centred
@@ -438,12 +444,8 @@ def _residual_cuts(scores: list, features: list, residuals: list,
                           totals, tau, lams, decrease)
     # cuts that cannot hold the maximum, and every cut of a node with no
     # residual left, stay -inf
-    gains = decrease[cut_pos] / n_totals[cut_node]
-    return [_pick_threshold(ss[starts[j]:starts[j] + sizes[j]],
-                            cut_size[bounds[j]:bounds[j + 1]],
-                            gains[bounds[j]:bounds[j + 1]], criteria.min_gain)
-            if bounds[j + 1] > bounds[j] else None
-            for j in range(m)]
+    return _pick_cuts(ss, at, bounds, decrease[cut_pos] / n_totals[node[at]],
+                      criteria.min_gain)
 
 
 def _search_intervals(Z, cutmask, offsets, nblocks, nodes, lo, hi, totals,
@@ -592,10 +594,8 @@ def best_residual_threshold(projections: np.ndarray, features: np.ndarray,
     below ``min_samples_split``) keeps the mean of r instead; it is
     scored by the linear fit all the same.
     """
-    s = np.asarray(projections, dtype=np.float64).reshape(-1)
-    r = np.asarray(residuals, dtype=np.float64).reshape(-1)
+    s, r = _check_search_inputs(projections, residuals, n_total)
     X = np.asarray(features, dtype=np.float64)
-    _check_search_inputs(s, r, n_total)
     if X.ndim != 2 or X.shape[0] != s.shape[0]:
         raise ValueError("features must be a matrix with one row per projection")
     return _residual_cuts([s], [X], [r], _check_lambdas([lam]),
@@ -607,9 +607,9 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     """None or (projection, threshold, gain, scores) for each (X_t, y_t)
     node of equal width, with its own penalty and training-set size; the
     projection holds weights then bias, as in ``ObliqueNode``. ``finder``
-    names the search: "mean" and "residual" ridge-fit a projection (as one
-    batch) and pick its threshold by ``best_threshold`` or, as one batch,
-    ``best_residual_threshold``; "axis" runs ``best_threshold`` on every
+    names the search: "mean" and "residual" ridge-fit a projection and
+    pick its threshold by ``best_threshold`` or ``best_residual_threshold``
+    (each step as one batch); "axis" runs ``best_threshold`` on every
     column (``_column_threshold``) and keeps the first best one as a unit
     projection with zero bias."""
     if finder == "axis":
@@ -624,13 +624,13 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     else:
         fits = [(sol.weights, sol.intercept, X_t @ sol.weights + sol.intercept)
                 for sol, (X_t, _) in zip(solve_ridge_many(nodes, lams), nodes)]
+        scores = [s for _, _, s in fits]
         if finder == "residual":
-            found = _residual_cuts([s for _, _, s in fits], [X_t for X_t, _ in nodes],
-                                   [y_t - s for (_, y_t), (_, _, s) in zip(nodes, fits)],
+            found = _residual_cuts(scores, [X_t for X_t, _ in nodes],
+                                   [y_t - s for (_, y_t), s in zip(nodes, scores)],
                                    lams, n_totals, criteria)
         else:
-            found = [best_threshold(s, y_t, n_total, criteria)
-                     for (_, y_t), (_, _, s), n_total in zip(nodes, fits, n_totals)]
+            found = _mean_cuts(scores, [y_t for _, y_t in nodes], n_totals, criteria)
     return [None if hit is None else (np.append(weights, intercept), *hit, scores)
             for (weights, intercept, scores), hit in zip(fits, found)]
 

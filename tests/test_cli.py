@@ -159,6 +159,26 @@ class TestTrainPredict:
         assert "chosen lambda:" in out
         assert "training mse:" in out
 
+    def test_failed_cv_fits_named_on_stderr(self, tmp_path, capsys):
+        # every lambda = 0 fold fails on this table: stdout keeps its inf
+        # rows and the exit status 0, and stderr says why, one line a fit
+        data = tmp_path / "sim1.csv"
+        assert run("simulate", "--which", "sim1", "--n", "500", "--sigma", "0.01",
+                   "--seed", "0", "--out", str(data)) == 0
+        capsys.readouterr()
+        assert run("train", "--data", str(data), "--target", "y", "--drop", "f",
+                   "--lambda", "cv", "--grid", "0,0.1", "--max-depth", "4",
+                   "--out", str(tmp_path / "model.txt")) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[:6] == ["lambda,fold,val_mse"] + [f"0,{i},inf" for i in range(5)]
+        assert [line.split(",")[:2] for line in lines[6:11]] == [["0.1", str(i)]
+                                                                 for i in range(5)]
+        assert lines[11] == "chosen lambda: 0.1"
+        assert err.splitlines() == [
+            f"lambda 0 fold {i} failed: SingularSystemError: singular system: "
+            "design matrix is rank-deficient at lambda=0" for i in range(5)]
+
     def test_cart_cv_fits_nothing(self, tmp_path, sim_csv, capsys):
         # cart takes no lambda: no CV table, and the model of any fixed lambda
         train = ("train", "--data", str(sim_csv), "--drop", "f", "--method", "cart",

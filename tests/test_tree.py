@@ -7,7 +7,7 @@ from fcodt import tree
 from fcodt.baselines import fit_cart, fit_ridge_odt
 from fcodt.datasets import Dataset
 from fcodt.evaluation import SIM_GENERATORS
-from fcodt.linalg import solve_ridge
+from fcodt.linalg import solve_ridge, solve_ridge_many
 from fcodt.tree import (
     LeafNode,
     ObliqueNode,
@@ -202,6 +202,60 @@ class TestTieAwareSort:
         y = rng.normal(size=X.shape[0])
         np.testing.assert_array_equal(tree._canonical_order(X, y),
                                       np.argsort(X[:, 0], kind="stable"))
+
+
+class TestBatchedScan:
+    """The constant-child scan searches a batch of nodes at once
+    (``_split_nodes``' "mean" branch): each node's (threshold, gain) is
+    the stable scan's on its own scores, bit for bit, also where one
+    integer feature column makes the ridge scores tie."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_stable_scan_per_node(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        nodes = []
+        for n in (12, 45, 300, 1300):
+            # targets whose sums round differently in another row order
+            nodes.append((rng.normal(size=(n, 1)), rng.normal(size=n) * 1e3 + 1.0 / 3.0))
+            X = rng.integers(0, 5, size=(n, 1)).astype(np.float64)
+            nodes.append((X, X[:, 0] + rng.normal(size=n) * 1e3 + 1.0 / 3.0))
+        nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+        min_leaf = int(rng.integers(1, 6))
+        crit = loose_criteria(min_samples_leaf=min_leaf, min_samples_split=2 * min_leaf)
+        lams = rng.choice([1e-4, 0.01, 10.0], size=len(nodes))
+        n_totals = np.array([X.shape[0] + 7 for X, _ in nodes])
+        found = tree._split_nodes(nodes, lams, n_totals, crit, "mean")
+        ties = 0
+        for (X, y), sol, n_total, hit in zip(nodes, solve_ridge_many(nodes, lams),
+                                             n_totals, found):
+            scores = X @ sol.weights + sol.intercept
+            ties += np.unique(scores).size < scores.size
+            expected = best_threshold_stable_scan(scores, y, n_total, min_leaf)
+            assert _bits(None if hit is None else hit[1:3]) == _bits(expected)
+            if hit is not None:
+                assert hit[3].tobytes() == scores.tobytes()
+        assert ties >= 4
+
+    def test_pick_floors_gains_and_applies_min_gain(self):
+        # four nodes of a cut table: gains all <= 0 (one left at -inf), no
+        # cut, and two whose best gains lie above and below min_gain 0.2
+        ss = np.arange(14.0)
+        at = np.array([0, 1, 2, 6, 7, 10, 11])
+        bounds = np.array([0, 3, 3, 5, 7])
+        gains = np.array([-1e-17, -np.inf, -0.5, 0.1, 0.3, 0.1, 0.15])
+        assert tree._pick_cuts(ss, at, bounds, gains, 0.0) == [
+            (0.5, 0.0), None, (7.5, 0.3), (11.5, 0.15)]
+        assert tree._pick_cuts(ss, at, bounds, gains, 0.2) == [None, None, (7.5, 0.3), None]
+
+    def test_midpoint_rounding_onto_lower_score_takes_upper(self):
+        # the midpoint of two adjacent floats rounds to the even one, here
+        # the lower: the threshold is the upper, so the lower row goes left
+        hi = np.nextafter(1.0, 2.0)
+        proj = np.array([hi, 1.0])
+        assert (1.0 + hi) / 2.0 == 1.0
+        thr, gain = best_threshold(proj, np.array([1.0, 0.0]), 2, loose_criteria())
+        assert thr == hi and gain == 0.25
+        assert list(proj < thr) == [False, True]
 
 
 class _TiesLastRowFirst:
