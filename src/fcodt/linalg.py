@@ -117,7 +117,8 @@ def solve_ridge(X: np.ndarray, y: np.ndarray, lam: float,
 def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
     """``solve_ridge`` for each (X, y) in ``problems``, all of the same
     width, each with its own penalty in ``lams``, through one batched
-    factorisation. Each result depends only on its own problem."""
+    factorisation. Each result depends only on its own problem. A ValueError
+    names a system that is singular or whose solve overflows."""
     d = problems[0][0].shape[1]
     lams = _check_lambdas(lams)
     grams = np.empty((len(problems), d, d))
@@ -146,6 +147,9 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
         weights = np.linalg.solve(grams, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
         raise SingularSystemError("singular system: matrix is not positive definite") from None
+    # finite inputs whose sums overflow pass LAPACK and leave inf or NaN
+    if not np.isfinite(weights).all():
+        raise ValueError("ridge solve overflowed: the weights are not finite")
     return [RidgeSolution(weights=w, intercept=float(y_mean - x_mean @ w) if fit_intercept else 0.0,
                           lam=float(lam))
             for w, (x_mean, y_mean), lam in zip(weights, means, lams)]

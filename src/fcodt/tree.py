@@ -29,9 +29,10 @@ plain ridge-projection tree with mean leaves.
 Every learner grows its trees in one loop (``_grow``): one level at a
 time, several trees together, so that each level's ridge fits and
 threshold searches run as batches. Only the split search differs
-(``_split_nodes``): "mean" or "residual" (ridge projection, then
-``best_threshold`` or ``best_residual_threshold`` on a batch of nodes at
-once) or "axis" (the best single column by ``best_threshold``, ``cart``).
+(``_split_nodes``): "mean" and "residual" search each node's ridge
+projection by ``best_threshold`` or ``best_residual_threshold``, "axis"
+(``cart``) each column by ``best_threshold``, each set of candidates as
+one batch of nodes.
 ``METHODS`` names each learner of the comparison by its settings of that
 loop, and ``fit_method(_many)`` fits one by name.
 Every prediction goes through one router (``_walk``): ``route_batch``
@@ -167,7 +168,7 @@ def _sort_scores(s: np.ndarray):
     stable sort's on every CPU, whichever kernel numpy dispatches. Ridge
     projections seldom tie. Integer and categorical feature columns tie
     at every node, where both sorts would run, so the axis search sorts
-    them stably at once (``_column_threshold``).
+    them stably at once (``_split_nodes``).
     """
     order = np.argsort(s)
     ss = s[order]
@@ -257,13 +258,6 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     """
     s, y = _check_search_inputs(projections, y, n_total)
     return _mean_cuts([s], [y], np.array([n_total]), criteria)[0]
-
-
-def _column_threshold(column: np.ndarray, y: np.ndarray, n_total: int,
-                      criteria: SplitCriteria):
-    """``best_threshold`` of one feature column of a node, for the axis
-    search, which sorts stably at once (see ``_sort_scores``)."""
-    return _mean_cuts([column], [y], np.array([n_total]), criteria, stable=True)[0]
 
 
 def _mean_cuts(scores: list, targets: list, n_totals, criteria, stable=False) -> list:
@@ -607,32 +601,36 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     """None or (projection, threshold, gain, scores) for each (X_t, y_t)
     node of equal width, with its own penalty and training-set size; the
     projection holds weights then bias, as in ``ObliqueNode``. ``finder``
-    names the search: "mean" and "residual" ridge-fit a projection and
-    pick its threshold by ``best_threshold`` or ``best_residual_threshold``
-    (each step as one batch); "axis" runs ``best_threshold`` on every
-    column (``_column_threshold``) and keeps the first best one as a unit
-    projection with zero bias."""
+    names the search, which has one shape: sets of one candidate
+    projection per node, each set searched as one batch, and each node's
+    first best candidate kept. "mean" and "residual" have one set, the
+    ridge fits, searched by ``best_threshold`` or
+    ``best_residual_threshold``; "axis" has one per column, that column
+    as a unit projection with zero bias, searched by ``best_threshold``
+    with the stable sort at once (see ``_sort_scores``), so a gain tie
+    goes to the lowest column."""
     if finder == "axis":
-        fits, found = [], []
-        for (X_t, y_t), n_total in zip(nodes, n_totals):
-            hits = [_column_threshold(X_t[:, j], y_t, n_total, criteria)
-                    for j in range(X_t.shape[1])]
-            # the first maximum: ties break toward the lowest column
-            j = int(np.argmax([-np.inf if hit is None else hit[1] for hit in hits]))
-            fits.append((np.eye(X_t.shape[1])[j], 0.0, X_t[:, j]))
-            found.append(hits[j])
+        sets = [[(unit, 0.0, X_t[:, j]) for X_t, _ in nodes]
+                for j, unit in enumerate(np.eye(nodes[0][0].shape[1]))]
     else:
-        fits = [(sol.weights, sol.intercept, X_t @ sol.weights + sol.intercept)
-                for sol, (X_t, _) in zip(solve_ridge_many(nodes, lams), nodes)]
+        sets = [[(sol.weights, sol.intercept, X_t @ sol.weights + sol.intercept)
+                 for sol, (X_t, _) in zip(solve_ridge_many(nodes, lams), nodes)]]
+    found = []
+    for fits in sets:
         scores = [s for _, _, s in fits]
         if finder == "residual":
-            found = _residual_cuts(scores, [X_t for X_t, _ in nodes],
-                                   [y_t - s for (_, y_t), s in zip(nodes, scores)],
-                                   lams, n_totals, criteria)
+            found.append(_residual_cuts(scores, [X_t for X_t, _ in nodes],
+                                        [y_t - s for (_, y_t), s in zip(nodes, scores)],
+                                        lams, n_totals, criteria))
         else:
-            found = _mean_cuts(scores, [y_t for _, y_t in nodes], n_totals, criteria)
+            found.append(_mean_cuts(scores, [y_t for _, y_t in nodes], n_totals, criteria,
+                                    stable=finder == "axis"))
+    # each node's first maximum over the sets; a candidate without a cut counts as -inf
+    best = np.argmax([[-np.inf if hit is None else hit[1] for hit in hits]
+                      for hits in found], axis=0)
+    picks = [(sets[c][i], found[c][i]) for i, c in enumerate(best.tolist())]
     return [None if hit is None else (np.append(weights, intercept), *hit, scores)
-            for (weights, intercept, scores), hit in zip(fits, found)]
+            for (weights, intercept, scores), hit in picks]
 
 
 def find_oblique_split(X_t: np.ndarray, y_t: np.ndarray, lam: float,

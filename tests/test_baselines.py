@@ -53,16 +53,27 @@ class TestCart:
         assert root.threshold == 2.5
         assert root.gain == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), pytest.param(8, id="tied_columns")])
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)
-        n = int(rng.integers(12, 31))
-        d = int(rng.integers(1, 4))
-        X = rng.normal(size=(n, d))
-        y = rng.normal(size=n)
-        crit = SplitCriteria(max_depth=2, min_samples_split=6, min_samples_leaf=3)
+        if seed < 8:
+            n = int(rng.integers(12, 31))
+            X = rng.normal(size=(n, int(rng.integers(1, 4))))
+            y = rng.normal(size=n)
+            depth = 2
+        else:
+            # small integer columns, the last a copy of the one the target
+            # follows: gains tie across columns at several nodes of one
+            # level, and the lower column wins; integer targets sum exactly
+            # in any row order, so columns that split a node's rows alike
+            # tie too
+            n, depth = 64, 3
+            X = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+            X = np.column_stack([X, X[:, 1]])
+            y = 2.0 * X[:, 1] + rng.integers(0, 3, size=n)
+        crit = SplitCriteria(max_depth=depth, min_samples_split=6, min_samples_leaf=3)
         model = fit_cart(Dataset(X, y), crit)
-        oracle = cart_tree_bruteforce(X, y, n, 2, 6, 3)
+        oracle = cart_tree_bruteforce(X, y, n, depth, 6, 3)
         assert_same_structure(model, oracle)
 
     def test_oblique_target_beats_cart(self):

@@ -179,6 +179,23 @@ class TestTrainPredict:
             f"lambda 0 fold {i} failed: SingularSystemError: singular system: "
             "design matrix is rank-deficient at lambda=0" for i in range(5)]
 
+    @pytest.mark.parametrize("method", ["fc_odt", "ridge_odt"])
+    def test_overflowing_table_refused(self, tmp_path, capsys, method):
+        # one row's finite cells at +-1e308 overflow the root's ridge solve:
+        # an error, not a one-leaf model
+        sim = datasets.gen_sim2(500, 0.01, 0)
+        X = sim.features.copy()
+        X[7, :2] = [1e308, -1e308]
+        data = tmp_path / "overflow.csv"
+        data.write_text(datasets.dataset_to_csv(datasets.Dataset(X, sim.targets)))
+        model_path = tmp_path / "model.txt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train", "--data", str(data), "--method", method, "--lambda", "0.1",
+                       "--out", str(model_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: ridge solve overflowed: the weights are not finite\n")
+        assert not model_path.exists()
+
     def test_cart_cv_fits_nothing(self, tmp_path, sim_csv, capsys):
         # cart takes no lambda: no CV table, and the model of any fixed lambda
         train = ("train", "--data", str(sim_csv), "--drop", "f", "--method", "cart",

@@ -145,6 +145,14 @@ class TestSolveRidge:
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam}"):
             solve_ridge_many([(np.eye(2), np.ones(2))] * 2, [0.1, lam])
 
+    def test_overflowing_solve_refused(self):
+        # finite entries whose Gram sums overflow: LAPACK passes the inf and
+        # NaN sums, and the weights would be NaN
+        X = np.array([[1.0, 2.0], [1e308, -1e308], [3.0, 1.0], [0.0, 5.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^ridge solve overflowed: the weights are not finite$"):
+            solve_ridge(X, np.arange(4.0), 0.1)
+
     def test_shrinkage_monotone_in_lambda(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 6))

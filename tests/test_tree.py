@@ -166,23 +166,32 @@ def _tie_case(kind, rng):
     return scores, rng.normal(size=n) * 1e3 + 1.0 / 3.0
 
 
+def _axis_threshold(column, y, n_total, criteria):
+    """(threshold, gain) or None of the axis search on one node's one column."""
+    hit = tree._split_nodes([(column[:, None], y)], np.zeros(1), np.array([n_total]),
+                            criteria, "axis")[0]
+    return None if hit is None else hit[1:3]
+
+
 class TestTieAwareSort:
     """Both sorts of the constant-child scan give the stable scan's
     results bit for bit: the default sort with a stable re-sort on ties
-    (``best_threshold``) and the stable sort at once (``_column_threshold``)."""
+    (``best_threshold``) and the stable sort at once (the axis search of
+    ``_split_nodes``)."""
 
     @pytest.mark.parametrize("kind", ["distinct", "integers", "constant", "signed_zero"])
-    @pytest.mark.parametrize("search", ["best_threshold", "_column_threshold"])
+    @pytest.mark.parametrize("search", [best_threshold, _axis_threshold],
+                             ids=["best_threshold", "axis"])
     def test_search_matches_stable_scan(self, search, kind):
         # another order of tied rows changes the bits of about one case in six;
-        # _column_threshold, the axis search, sorts stably at once
+        # the axis search sorts stably at once
         rng = np.random.default_rng(700)
         for _ in range(40):
             scores, y = _tie_case(kind, rng)
             n = scores.shape[0]
             min_leaf = int(rng.integers(1, 9))
             crit = loose_criteria(min_samples_leaf=min_leaf, min_samples_split=2 * min_leaf)
-            got = getattr(tree, search)(scores, y, n + 5, crit)
+            got = search(scores, y, n + 5, crit)
             assert _bits(got) == _bits(best_threshold_stable_scan(scores, y, n + 5, min_leaf))
             assert (got is None) == (kind == "constant")
 
