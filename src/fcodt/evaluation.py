@@ -39,6 +39,7 @@ from .datasets import (
     minmax_scale,
     train_test_split,
 )
+from .linalg import _check_lambdas
 from .tree import (
     METHODS,
     SplitCriteria,
@@ -107,10 +108,13 @@ def _check_lambda_grid(grid):
     if not grid:
         raise ValueError("lambda grid must be nonempty")
     for lam in grid:
-        if (not isinstance(lam, numbers.Real) or isinstance(lam, bool)
-                or not math.isfinite(lam) or lam < 0):
+        try:
+            if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
+                raise ValueError
+            _check_lambdas(lam)
+        except ValueError:
             raise ValueError(f"lambda grid entry {lam!r} is not a finite "
-                             f"nonnegative number")
+                             f"nonnegative number") from None
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -225,9 +229,10 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
     """Pick the grid value minimizing mean validation MSE across k folds.
 
     Each distinct grid value is fitted once per fold; ties break toward
-    the smaller lambda. Fit failures are recorded in the CV table (that
-    cell scores +inf) without aborting the search. Returns (best_lambda,
-    table) where the table has one row per distinct lambda and fold. A
+    the smaller lambda. A failed fit, or a validation prediction that
+    fails, is recorded in the CV table (that cell scores +inf) without
+    aborting the search. Returns (best_lambda, table) where the table has
+    one row per distinct lambda and fold. A
     method that takes no lambda (``tree.METHODS``) is grown at 0, so it
     returns (0.0, []) at once, fitting nothing.
     """
@@ -249,18 +254,26 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
             method, ((data.subset(fold.train_indices), lam) for lam, _, fold in batch),
             criteria)
         for (lam, i, fold), model in zip(batch, models):
+            val, err = math.inf, ""
             if isinstance(model, Exception):  # recorded, not raised
-                val, err = math.inf, f"{type(model).__name__}: {model}"
-            else:
-                pred = predict_batch(model, data.features[fold.test_indices])
-                val, err = mse(pred, data.targets[fold.test_indices]), ""
+                err = f"{type(model).__name__}: {model}"
+            else:  # and so is a validation prediction or squared error that overflows
+                try:
+                    pred = predict_batch(model, data.features[fold.test_indices])
+                    with np.errstate(over="ignore"):
+                        val = mse(pred, data.targets[fold.test_indices])
+                    if not math.isfinite(val):
+                        raise ValueError("the squared errors overflow")
+                except ValueError as exc:  # val is inf
+                    err = f"{type(exc).__name__} on the validation rows: {exc}"
             table.append({"lambda": lam, "fold": i, "mse": val, "error": err})
-    # (lambda x fold) validation MSE; a NaN mean never wins
+    # (lambda x fold) validation MSE, +inf where a cell failed
     means = np.array([row["mse"] for row in table]).reshape(len(lams), -1).mean(axis=1)
-    means[np.isnan(means)] = math.inf
     best = int(np.argmin(means))  # the first minimum: the smallest lambda
     if not math.isfinite(means[best]):
-        raise ValueError("grid search failed for every lambda")
+        first = next(row for row in table if row["error"])
+        raise ValueError(f"grid search failed for every lambda; first, lambda "
+                         f"{first['lambda']:g} fold {first['fold']}: {first['error']}")
     return lams[best], table
 
 

@@ -125,19 +125,21 @@ def solve_ridge_many(problems: list, lams, fit_intercept: bool = True) -> list:
     rhs = np.empty((len(problems), d, 1))
     means = []
     ones = np.ones(max(X.shape[0] for X, _ in problems))
-    for i, (X, y) in enumerate(problems):
-        if fit_intercept:
-            x_mean = ones[:X.shape[0]] @ X / X.shape[0]
-            y_mean = y.sum() / y.shape[0]
-        else:
-            x_mean, y_mean = np.zeros(d), 0.0
-        Xc = X - x_mean
-        if lams[i] == 0.0 and np.linalg.matrix_rank(Xc) < d:
-            raise SingularSystemError(
-                "singular system: design matrix is rank-deficient at lambda=0")
-        np.matmul(Xc.T, Xc, out=grams[i])
-        np.matmul(Xc.T, y - y_mean, out=rhs[i, :, 0])
-        means.append((x_mean, y_mean))
+    # a sum that overflows shows in the weights, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (X, y) in enumerate(problems):
+            if fit_intercept:
+                x_mean = ones[:X.shape[0]] @ X / X.shape[0]
+                y_mean = y.sum() / y.shape[0]
+            else:
+                x_mean, y_mean = np.zeros(d), 0.0
+            Xc = X - x_mean
+            if lams[i] == 0.0 and np.linalg.matrix_rank(Xc) < d:
+                raise SingularSystemError(
+                    "singular system: design matrix is rank-deficient at lambda=0")
+            np.matmul(Xc.T, Xc, out=grams[i])
+            np.matmul(Xc.T, y - y_mean, out=rhs[i, :, 0])
+            means.append((x_mean, y_mean))
     diag = np.arange(d)
     grams[:, diag, diag] += lams[:, None]
     # LAPACK's Cholesky check can pass an exactly singular system that the

@@ -166,9 +166,8 @@ def _sort_scores(s: np.ndarray):
     distinct scores have one ascending order, which any correct sort
     returns, and tied ones are kept in row order, so the order is the
     stable sort's on every CPU, whichever kernel numpy dispatches. Ridge
-    projections seldom tie. Integer and categorical feature columns tie
-    at every node, where both sorts would run, so the axis search sorts
-    them stably at once (``_split_nodes``).
+    projections and continuous feature columns seldom tie; integer and
+    categorical columns tie at every node, where both sorts run.
     """
     order = np.argsort(s)
     ss = s[order]
@@ -179,18 +178,18 @@ def _sort_scores(s: np.ndarray):
     return order, ss, rises
 
 
-def _cut_table(scores: list, min_leaf, stable: bool = False):
+def _cut_table(scores: list, min_leaf):
     """(orders, order, ss, sizes, starts, node, at, bounds) of several
-    nodes' ``scores``: each node's stable ascending order (``_sort_scores``;
-    with ``stable``, numpy's stable sort at once), all rows' order with the
-    nodes one after another, the scores in it, each node's row count and
-    first row, each row's node, and each cut's last left row, node j's
-    cuts at ``at[bounds[j]:bounds[j + 1]]``. A cut leaves the rows up to it
-    on the left: the scores strictly increase there and each side keeps
-    ``min_leaf`` rows (one count, or one per node)."""
+    nodes' ``scores``: each node's stable ascending order (``_sort_scores``),
+    all rows' order with the nodes one after another, the scores in it,
+    each node's row count and first row, each row's node, and each cut's
+    last left row, node j's cuts at ``at[bounds[j]:bounds[j + 1]]``. A cut
+    leaves the rows up to it on the left: the scores strictly increase
+    there and each side keeps ``min_leaf`` rows (one count, or one per
+    node)."""
     sizes = np.array([s.shape[0] for s in scores])
     starts = np.cumsum(sizes) - sizes
-    orders = [np.argsort(s, kind="stable") if stable else _sort_scores(s)[0] for s in scores]
+    orders = [_sort_scores(s)[0] for s in scores]
     order = np.concatenate([o + st for o, st in zip(orders, starts)])
     ss = np.concatenate(scores)[order]
     node = np.repeat(np.arange(len(scores)), sizes)
@@ -260,11 +259,11 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     return _mean_cuts([s], [y], np.array([n_total]), criteria)[0]
 
 
-def _mean_cuts(scores: list, targets: list, n_totals, criteria, stable=False) -> list:
+def _mean_cuts(scores: list, targets: list, n_totals, criteria) -> list:
     """``best_threshold`` of several nodes as one batch: each node's scores,
-    targets and training-set size; ``stable`` as in ``_cut_table``."""
+    targets and training-set size."""
     _, order, ss, sizes, starts, node, at, bounds = _cut_table(
-        scores, criteria.min_samples_leaf, stable)
+        scores, criteria.min_samples_leaf)
     ys = np.concatenate(targets)[order]
     # each node's own prefix sums of y and y^2, bit for bit those of the
     # node searched alone
@@ -606,9 +605,9 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
     first best candidate kept. "mean" and "residual" have one set, the
     ridge fits, searched by ``best_threshold`` or
     ``best_residual_threshold``; "axis" has one per column, that column
-    as a unit projection with zero bias, searched by ``best_threshold``
-    with the stable sort at once (see ``_sort_scores``), so a gain tie
-    goes to the lowest column."""
+    as a unit projection with zero bias, searched by ``best_threshold``,
+    so a gain tie goes to the lowest column. Every node of every set is
+    sorted by ``_sort_scores``."""
     if finder == "axis":
         sets = [[(unit, 0.0, X_t[:, j]) for X_t, _ in nodes]
                 for j, unit in enumerate(np.eye(nodes[0][0].shape[1]))]
@@ -623,8 +622,7 @@ def _split_nodes(nodes: list, lams: np.ndarray, n_totals: np.ndarray,
                                         [y_t - s for (_, y_t), s in zip(nodes, scores)],
                                         lams, n_totals, criteria))
         else:
-            found.append(_mean_cuts(scores, [y_t for _, y_t in nodes], n_totals, criteria,
-                                    stable=finder == "axis"))
+            found.append(_mean_cuts(scores, [y_t for _, y_t in nodes], n_totals, criteria))
     # each node's first maximum over the sets; a candidate without a cut counts as -inf
     best = np.argmax([[-np.inf if hit is None else hit[1] for hit in hits]
                       for hits in found], axis=0)
@@ -861,7 +859,8 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
     ancestors' scores appended when ``concatenate``), their incoming
     targets (``targets`` less the ancestors' scores when
     ``residual_path``; None without ``targets``) and the node's projection
-    scores (None at a leaf). Rows go left iff score < threshold.
+    scores (None at a leaf). Rows go left iff score < threshold. A score
+    that overflows raises a ValueError naming the input row and the node.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -878,7 +877,12 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
         if isinstance(node, LeafNode):
             yield slot, rows, rep, incoming, None
             continue
-        scores = rep @ node.projection[:-1] + node.projection[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = rep @ node.projection[:-1] + node.projection[-1]
+        finite = np.isfinite(scores)
+        if not finite.all():
+            raise ValueError(f"input row {rows[np.argmin(finite)]} overflows at node {slot}: "
+                             f"its score is not finite")
         yield slot, rows, rep, incoming, scores
         rep, incoming = _child_inputs(rep, incoming, scores, model.concatenate,
                                       model.residual_path)
@@ -921,9 +925,10 @@ def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
     """Route the rows of ``X`` once and keep what ``predict_batch`` and
     ``decision_paths`` read from the walk. With ``residual_path`` on, a
     row's prediction is the sum of the projection scores along its path,
-    root first from 0.0, plus its leaf's value; otherwise the leaf value."""
+    root first from 0.0, plus its leaf's value; otherwise the leaf value.
+    A prediction that overflows raises a ValueError naming the input row
+    and its leaf."""
     X = np.asarray(X, dtype=np.float64)
-    predictions = np.zeros(X.shape[:1])
     leaves = np.zeros(X.shape[:1], dtype=np.intp)
     # depth-major, so that each node writes its rows into one contiguous row
     scores = np.zeros((model.fitted_depth,) + X.shape[:1])
@@ -931,13 +936,26 @@ def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
     for slot, rows, _, _, node_scores in _walk(model, X):
         node = model.nodes[slot]
         if node_scores is None:
-            predictions[rows] += node.residual_mean
             leaves[rows] = slot
             continue
-        if model.residual_path:
-            predictions[rows] += node_scores
         scores[node.depth][rows] = node_scores
         paths[node.left] = paths[node.right] = paths[slot] + (slot,)
+    # each row's sum in path order: from 0.0, the scores of its path's
+    # nodes, root first (the depths above its leaf's), then its leaf's value
+    predictions = np.zeros(X.shape[:1])
+    values = np.array([node.residual_mean if isinstance(node, LeafNode) else 0.0
+                       for node in model.nodes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.residual_path:
+            depths = np.array([node.depth for node in model.nodes])[leaves]
+            for depth, depth_scores in enumerate(scores):
+                np.add(predictions, depth_scores, out=predictions, where=depth < depths)
+        predictions += values[leaves]
+    finite = np.isfinite(predictions)
+    if not finite.all():
+        row = np.argmin(finite)
+        raise ValueError(f"input row {row} overflows at leaf {leaves[row]}: "
+                         f"its prediction is not finite")
     return Routing(predictions, leaves, scores.T, paths)
 
 
@@ -1049,8 +1067,10 @@ def model_from_text(text: str) -> ObliqueTreeModel:
     (input_dim, lam, max_depth, min_split, min_leaf, min_gain, concatenate, residual_path,
      n_nodes) = (_flag(texts[name], name) if kind is bool else _number(texts[name], kind, name)
                  for name, kind in _HEADER)
-    if lam < 0:
-        raise ValueError(f"lambda: negative value {texts['lambda']!r}")
+    try:
+        _check_lambdas(lam)  # finite already: only the sign can fail
+    except ValueError:
+        raise ValueError(f"lambda: negative value {texts['lambda']!r}") from None
     model = ObliqueTreeModel(
         input_dim=input_dim,
         lam=lam,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -26,6 +27,18 @@ def sim_csv(tmp_path):
     assert run("simulate", "--which", "sim1", "--n", "300", "--sigma", "0.1",
                "--seed", "5", "--out", str(path)) == 0
     return path
+
+
+def overflow_tables(tmp_path):
+    """A 500-row sim2 table and the same table with row 7's first two
+    cells at +-1e308, finite cells whose scores overflow."""
+    sim = datasets.gen_sim2(500, 0.01, 0)
+    X = sim.features.copy()
+    X[7, :2] = [1e308, -1e308]
+    paths = tmp_path / "sim2.csv", tmp_path / "overflow.csv"
+    for path, features in zip(paths, (sim.features, X)):
+        path.write_text(datasets.dataset_to_csv(datasets.Dataset(features, sim.targets)))
+    return paths
 
 
 class TestAtomicWrite:
@@ -195,6 +208,47 @@ class TestTrainPredict:
         assert capsys.readouterr().err == (
             "error: ridge solve overflowed: the weights are not finite\n")
         assert not model_path.exists()
+
+    def test_overflowing_table_refused_by_cv(self, tmp_path, capsys):
+        # four folds overflow the ridge solve and the fifth its validation
+        # prediction of row 7: the error names the first failed fold, and
+        # no numpy warning comes before it
+        _, data = overflow_tables(tmp_path)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(data), "--lambda", "cv", "--grid", "0.1",
+                   "--max-depth", "2", "--out", str(model_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: grid search failed for every lambda; first, lambda 0.1 fold 0: "
+            "ValueError: ridge solve overflowed: the weights are not finite\n")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("explain", [[], ["--explain"]], ids=["plain", "explain"])
+    @pytest.mark.parametrize("case", ["model", "table"])
+    def test_overflowing_prediction_refused(self, tmp_path, capsys, case, explain):
+        # a finite model file whose root's last weight and bias are 1e308, or
+        # a finite table row at +-1e308: an error naming the row and the
+        # node, not inf or NaN predictions, and no numpy warning before it
+        clean, overflow = overflow_tables(tmp_path)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(clean), "--lambda", "0.1", "--max-depth", "2",
+                   "--out", str(model_path)) == 0
+        data = overflow
+        if case == "model":
+            lines = model_path.read_text().splitlines()
+            root = next(i for i, line in enumerate(lines) if line.startswith("split 0 "))
+            lines[root] = " ".join(lines[root].split()[:-2] + ["1e308", "1e308"])
+            model_path.write_text("\n".join(lines) + "\n")
+            data = clean
+        capsys.readouterr()
+        pred_path = tmp_path / "pred.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(data),
+                   "--target", "y", *explain, "--out", str(pred_path)) == 1
+        out, err = capsys.readouterr()
+        row = r"\d+" if case == "model" else "7"
+        assert out == ""
+        assert re.fullmatch(f"error: input row {row} overflows at node 0: "
+                            f"its score is not finite\n", err)
+        assert not pred_path.exists()
 
     def test_cart_cv_fits_nothing(self, tmp_path, sim_csv, capsys):
         # cart takes no lambda: no CV table, and the model of any fixed lambda
@@ -527,6 +581,16 @@ class TestTrainPredict:
                    "--target", "y", "--drop", "f", "--explain", "--out", str(pred_path)) == 0
         assert capsys.readouterr() == (f"wrote 0 predictions to {pred_path}\n", "")
         assert pred_path.read_text() == "prediction,path_nodes,path_scores\n"
+
+    def test_memory_error_reported(self, tmp_path, sim_csv, capsys, monkeypatch):
+        # what a LIBSVM file with feature index 10^12 asks of the reader
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+        monkeypatch.setattr("fcodt.cli.read_table", too_large)
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(sim_csv), "--out", str(model_path)) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 14.6 TiB for an array\n"
+        assert not model_path.exists()
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(fcodt.__file__)))

@@ -177,6 +177,32 @@ class TestGridSearch:
         assert all(row["mse"] == np.inf for row in failed)
         assert all("finite and nonnegative" in row["error"] for row in failed)
 
+    @pytest.mark.parametrize("overflow, error", [
+        ("score", r"input row \d+ overflows at node 0: its score is not finite"),
+        ("squared_error", "the squared errors overflow"),
+    ], ids=["score", "squared_error"])
+    def test_overflowing_validation_recorded_not_raised(self, monkeypatch, overflow, error):
+        # the second fold's validation overflows: its row of the table
+        # records why, and the search goes on
+        calls = []
+
+        def second_overflows(model, X):
+            calls.append(None)
+            if len(calls) == 2 and overflow == "score":
+                model.nodes[0].projection[:] = 1e308  # finite weights, infinite scores
+            elif len(calls) == 2:
+                return np.full(X.shape[0], 1e200)  # finite predictions, infinite squares
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(evaluation, "predict_batch", second_overflows)
+        lam, table = grid_search_lambda(tiny_dataset(n=200, seed=3), "ridge_odt",
+                                        SplitCriteria(max_depth=2), [0.1, 1.0], 3, 0)
+        assert (table[1]["lambda"], table[1]["fold"], table[1]["mse"]) == (0.1, 1, np.inf)
+        assert re.fullmatch(f"ValueError on the validation rows: {error}", table[1]["error"])
+        assert lam == 1.0
+        rest = table[:1] + table[2:]
+        assert all(np.isfinite(row["mse"]) and row["error"] == "" for row in rest)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="^lambda grid must be nonempty$"):
             grid_search_lambda(tiny_dataset(), "fc_odt", SplitCriteria(max_depth=2), [], 2, 0)

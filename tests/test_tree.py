@@ -174,17 +174,17 @@ def _axis_threshold(column, y, n_total, criteria):
 
 
 class TestTieAwareSort:
-    """Both sorts of the constant-child scan give the stable scan's
-    results bit for bit: the default sort with a stable re-sort on ties
-    (``best_threshold``) and the stable sort at once (the axis search of
-    ``_split_nodes``)."""
+    """Both searches of the constant-child scan give the stable scan's
+    results bit for bit, ``best_threshold`` and the axis search of
+    ``_split_nodes``: each sorts a node by the default sort, with a stable
+    re-sort when the sorted scores tie (``_sort_scores``)."""
 
     @pytest.mark.parametrize("kind", ["distinct", "integers", "constant", "signed_zero"])
     @pytest.mark.parametrize("search", [best_threshold, _axis_threshold],
                              ids=["best_threshold", "axis"])
     def test_search_matches_stable_scan(self, search, kind):
         # another order of tied rows changes the bits of about one case in six;
-        # the axis search sorts stably at once
+        # both searches re-sort tied scores stably
         rng = np.random.default_rng(700)
         for _ in range(40):
             scores, y = _tie_case(kind, rng)
@@ -794,6 +794,35 @@ class TestNonFiniteInput:
         X[3, 2] = np.nan
         with pytest.raises(ValueError, match="row 3 "):
             predict_batch(model, X)
+
+
+class TestOverflow:
+    """Finite inputs whose scores or predictions overflow are refused with
+    the input row and the node, and without a numpy warning (which the
+    test configuration turns into an error)."""
+
+    @pytest.mark.parametrize("router", sorted(ROUTERS))
+    def test_score_refused_by_every_router(self, router):
+        model, _ = depth2_cart()
+        model.nodes[0].projection[-2:] = 1e308  # last weight and bias
+        row = 0 if router in ("predict", "decision_path") else 3  # one-row routers
+        X = np.zeros((5, 4))
+        X[row, 3] = 1.0  # score 2e308
+        with pytest.raises(ValueError, match=f"^input row {row} overflows at node 0: "
+                                             "its score is not finite$"):
+            ROUTERS[router](model, X)
+
+    @pytest.mark.parametrize("router", sorted(set(ROUTERS) - {"replay_training_data"}))
+    def test_prediction_refused(self, router):
+        # each score is finite, the path's sum is not
+        model = tree.ObliqueTreeModel(
+            input_dim=2, lam=0.1, criteria=SplitCriteria(), concatenate=True,
+            residual_path=True,
+            nodes=[ObliqueNode(0, np.array([0.0, 0.0, 1e308]), 0.0, 1.0, 1, 2),
+                   LeafNode(1, 0.0, 10), LeafNode(1, 1e308, 10)])
+        with pytest.raises(ValueError, match="^input row 0 overflows at leaf 2: "
+                                             "its prediction is not finite$"):
+            ROUTERS[router](model, np.zeros((3, 2)))
 
 
 class TestWidthMismatch:
