@@ -43,6 +43,7 @@ from .linalg import _check_lambdas
 from .tree import (
     METHODS,
     SplitCriteria,
+    _RowError,
     _number,
     fit_method,
     fit_method_many,
@@ -230,8 +231,9 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
 
     Each distinct grid value is fitted once per fold; ties break toward
     the smaller lambda. A failed fit, or a validation prediction that
-    fails, is recorded in the CV table (that cell scores +inf) without
-    aborting the search. Returns (best_lambda, table) where the table has
+    fails (a refused row named by its index in ``data``), is recorded in
+    the CV table (that cell scores +inf) without aborting the search.
+    Returns (best_lambda, table) where the table has
     one row per distinct lambda and fold. A
     method that takes no lambda (``tree.METHODS``) is grown at 0, so it
     returns (0.0, []) at once, fitting nothing.
@@ -265,6 +267,8 @@ def grid_search_lambda(data: Dataset, method: str, criteria: SplitCriteria,
                     if not math.isfinite(val):
                         raise ValueError("the squared errors overflow")
                 except ValueError as exc:  # val is inf
+                    if isinstance(exc, _RowError):  # named by its row in the table
+                        exc = ValueError(f"input row {fold.test_indices[exc.row]} {exc.what}")
                     err = f"{type(exc).__name__} on the validation rows: {exc}"
             table.append({"lambda": lam, "fold": i, "mse": val, "error": err})
     # (lambda x fold) validation MSE, +inf where a cell failed

@@ -39,7 +39,9 @@ Every prediction goes through one router (``_walk``): ``route_batch``
 (and ``predict_batch``, ``predict`` and ``decision_path(s)`` through it)
 and ``replay_training_data`` only read what it yields. It and ``_grow``
 split a node's rows by one rule, left iff score < threshold, and pass the
-node's inputs to its children by one child step (``_child_inputs``).
+node's inputs to its children by one child step (``_child_inputs``):
+``_grow`` selects each child's rows before the step, the router after it,
+each the faster order for its caller.
 Models load only when their nodes form one tree.
 """
 
@@ -141,14 +143,11 @@ def concat_feature(X: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
     return _child_inputs(X, None, col, concatenate=True, residual_path=False)[0]
 
 
-def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool, side=None):
+def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool):
     """The one child step: a split node's features ``X`` with its ``scores``
     appended when ``concatenate``, its ``incoming`` targets less them when
-    ``residual_path`` (None stays None); with the mask ``side``, its rows."""
-    if side is not None:
-        scores = scores.compress(side)
-        X = None if X is None else X.compress(side, axis=0)
-        incoming = None if incoming is None else incoming.compress(side)
+    ``residual_path`` (None stays None). Callers select the rows: growth
+    before the step, routing after it."""
     if X is not None and concatenate:
         X = np.concatenate((X, scores[:, None]), axis=1)
     if incoming is not None and residual_path:
@@ -207,8 +206,12 @@ def _pick_cuts(ss, at, bounds, gains, min_gain: float) -> list:
     """(threshold, gain) of each node's first maximum of the ``gains`` of a
     cut table's cuts (``_cut_table``), or None below ``min_gain`` or without
     cuts; the threshold is the midpoint of the two scores the cut falls
-    between. Gains are floored at zero, so when no cut gains (or a cut's
-    gain is left at -inf) the first cut wins with gain 0."""
+    between, or a midpoint that cannot overflow where that one does. Gains
+    are floored at zero, so when no cut gains (or a cut's gain is left at
+    -inf) the first cut wins with gain 0; a gain that is NaN or +inf, from
+    finite inputs whose sums overflow, raises a ValueError."""
+    if not (gains < np.inf).all():
+        raise ValueError("split search overflowed: a gain is not finite")
     gains = np.maximum(gains, 0.0)
 
     def pick(first, end):
@@ -218,12 +221,14 @@ def _pick_cuts(ss, at, bounds, gains, min_gain: float) -> list:
         gain = float(gains[best])
         if gain < min_gain:
             return None
-        lo = ss[at[best]]
-        hi = ss[at[best] + 1]
+        lo = float(ss[at[best]])
+        hi = float(ss[at[best] + 1])
         mid = (lo + hi) / 2.0
+        if not math.isfinite(mid):
+            mid = lo / 2.0 + hi / 2.0
         # keep the comparison `score < mid` consistent with the scanned
         # partition even when the midpoint rounds onto an endpoint
-        return (float(mid) if mid > lo else float(hi)), gain
+        return (mid if mid > lo else hi), gain
 
     return [pick(first, end) for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
@@ -259,6 +264,7 @@ def best_threshold(projections: np.ndarray, y: np.ndarray, n_total: int,
     return _mean_cuts([s], [y], np.array([n_total]), criteria)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _pick_cuts refuses what overflows
 def _mean_cuts(scores: list, targets: list, n_totals, criteria) -> list:
     """``best_threshold`` of several nodes as one batch: each node's scores,
     targets and training-set size."""
@@ -371,6 +377,7 @@ def _innovations(gram: np.ndarray, lam: np.ndarray, tau: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _pick_cuts refuses what overflows
 def _residual_cuts(scores: list, features: list, residuals: list,
                    lams: np.ndarray, n_totals: np.ndarray,
                    criteria: SplitCriteria) -> list:
@@ -808,8 +815,8 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
                 for slot_c, side, n in ((left_slot, left, n_left),
                                         (left_slot + 1, ~left, left.shape[0] - n_left)):
                     next_level.append((slot_c,) + _child_inputs(
-                        X_t if searched(depth + 1, n) else None, y_t,
-                        scores, concatenate, residual_path, side))
+                        X_t.compress(side, axis=0) if searched(depth + 1, n) else None,
+                        y_t.compress(side), scores.compress(side), concatenate, residual_path))
             levels[i] = next_level
         depth += 1
     return out
@@ -850,6 +857,15 @@ def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
                                       lams, sizes, criteria, finder)]
 
 
+class _RowError(ValueError):
+    """A refused input row: ``row`` is its index in the routed matrix, and
+    the message reads ``input row <row> <what>``."""
+
+    def __init__(self, row, what: str):
+        super().__init__(f"input row {row} {what}")
+        self.row, self.what = int(row), what
+
+
 def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = None):
     """Route the rows of ``X`` through ``model``: the one router.
 
@@ -868,8 +884,7 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
     if X.shape[1] != model.input_dim:
         raise ValueError(f"model expects {model.input_dim} features, data has {X.shape[1]}")
     if not np.isfinite(X).all():
-        row = np.argmin(np.isfinite(X).all(axis=1))
-        raise ValueError(f"input row {row} has a NaN or infinite value")
+        raise _RowError(np.argmin(np.isfinite(X).all(axis=1)), "has a NaN or infinite value")
     stack = [(0, np.arange(X.shape[0]), X, targets)] if X.shape[0] else []
     while stack:
         slot, rows, rep, incoming = stack.pop()
@@ -881,8 +896,8 @@ def _walk(model: ObliqueTreeModel, X: np.ndarray, targets: np.ndarray | None = N
             scores = rep @ node.projection[:-1] + node.projection[-1]
         finite = np.isfinite(scores)
         if not finite.all():
-            raise ValueError(f"input row {rows[np.argmin(finite)]} overflows at node {slot}: "
-                             f"its score is not finite")
+            raise _RowError(rows[np.argmin(finite)],
+                            f"overflows at node {slot}: its score is not finite")
         yield slot, rows, rep, incoming, scores
         rep, incoming = _child_inputs(rep, incoming, scores, model.concatenate,
                                       model.residual_path)
@@ -947,15 +962,13 @@ def route_batch(model: ObliqueTreeModel, X: np.ndarray) -> Routing:
                        for node in model.nodes])
     with np.errstate(over="ignore", invalid="ignore"):
         if model.residual_path:
-            depths = np.array([node.depth for node in model.nodes])[leaves]
-            for depth, depth_scores in enumerate(scores):
-                np.add(predictions, depth_scores, out=predictions, where=depth < depths)
+            for depth_scores in scores:  # 0.0 below a row's leaf adds nothing
+                predictions += depth_scores
         predictions += values[leaves]
     finite = np.isfinite(predictions)
     if not finite.all():
         row = np.argmin(finite)
-        raise ValueError(f"input row {row} overflows at leaf {leaves[row]}: "
-                         f"its prediction is not finite")
+        raise _RowError(row, f"overflows at leaf {leaves[row]}: its prediction is not finite")
     return Routing(predictions, leaves, scores.T, paths)
 
 

@@ -209,6 +209,21 @@ class TestTrainPredict:
             "error: ridge solve overflowed: the weights are not finite\n")
         assert not model_path.exists()
 
+    def test_overflowing_split_search_refused(self, tmp_path, capsys):
+        # finite targets whose squares overflow the split search: an error,
+        # not a model of NaN gains that predict then refuses, and no numpy
+        # warning before it
+        sim = datasets.gen_sim2(500, 0.01, 3)
+        data = tmp_path / "big.csv"
+        data.write_text(datasets.dataset_to_csv(
+            datasets.Dataset(sim.features, sim.targets * 1e155)))
+        model_path = tmp_path / "model.txt"
+        assert run("train", "--data", str(data), "--method", "ridge_odt", "--lambda", "0.1",
+                   "--out", str(model_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: split search overflowed: a gain is not finite\n")
+        assert not model_path.exists()
+
     def test_overflowing_table_refused_by_cv(self, tmp_path, capsys):
         # four folds overflow the ridge solve and the fifth its validation
         # prediction of row 7: the error names the first failed fold, and

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from fcodt import evaluation
-from fcodt.datasets import Dataset, gen_sim1, minmax_scale, train_test_split
+from fcodt.datasets import (
+    Dataset,
+    gen_sim1,
+    gen_sim2,
+    kfold_indices,
+    minmax_scale,
+    train_test_split,
+)
 from fcodt.evaluation import (
     ExperimentConfig,
     ExperimentRecord,
@@ -202,6 +209,31 @@ class TestGridSearch:
         assert lam == 1.0
         rest = table[:1] + table[2:]
         assert all(np.isfinite(row["mse"]) and row["error"] == "" for row in rest)
+
+    def test_overflowing_validation_row_named_in_the_table(self):
+        # row 7 at +-1e308 overflows every fold that trains on it, and the
+        # validation prediction of fold 0, which holds it 37th: the error
+        # names its row in the table, not its place among the fold's rows
+        sim = gen_sim2(500, 0.01, 0)
+        X = sim.features.copy()
+        X[7, :2] = [1e308, -1e308]
+        assert list(kfold_indices(500, 5, 5)[0].test_indices).index(7) == 36
+        with pytest.raises(ValueError, match=(
+                "^grid search failed for every lambda; first, lambda 0.1 fold 0: "
+                "ValueError on the validation rows: input row 7 overflows at node 0: "
+                "its score is not finite$")):
+            grid_search_lambda(Dataset(X, sim.targets), "ridge_odt",
+                               SplitCriteria(max_depth=2), [0.1], 5, 5)
+
+    def test_overflowing_split_search_recorded_not_raised(self):
+        # targets whose squares overflow: each fit's split search fails, and
+        # the grid records it
+        sim = gen_sim2(500, 0.01, 3)
+        with pytest.raises(ValueError, match=(
+                "^grid search failed for every lambda; first, lambda 0.1 fold 0: "
+                "ValueError: split search overflowed: a gain is not finite$")):
+            grid_search_lambda(Dataset(sim.features, sim.targets * 1e155), "ridge_odt",
+                               SplitCriteria(max_depth=2), [0.1, 1.0], 5, 0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="^lambda grid must be nonempty$"):

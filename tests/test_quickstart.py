@@ -1,13 +1,14 @@
-"""The README's CLI quickstart through every text reader and writer, run
-as ``python -m fcodt`` commands on a 500-row simulated table: a saved
-model (and a CV run whose lambda = 0 folds all fail, each named on
-stderr), predictions and decision paths (with ``--drop`` repeated, and of
-a header-only table); a table one column too wide, with rows or a header
-alone, which is refused; the same table as a LIBSVM file, and as a CSV
-with CRLF line ends, blank lines and a cell respelled with an
-underscore, which give the same model; and two refusals that write
-nothing."""
+"""The README's Python quickstart, run as written, and its CLI quickstart
+through every text reader and writer, run as ``python -m fcodt`` commands
+on a 500-row simulated table: a saved model (and a CV run whose
+lambda = 0 folds all fail, each named on stderr), predictions and
+decision paths (with ``--drop`` repeated, and of a header-only table); a
+table one column too wide, with rows or a header alone, which is
+refused; the same table as a LIBSVM file, and as a CSV with CRLF line
+ends, blank lines and a cell respelled with an underscore, which give the
+same model; and two refusals that write nothing."""
 
+import math
 import os
 import re
 import subprocess
@@ -142,3 +143,17 @@ def test_comma_in_a_dataset_name_refused_writing_nothing(workdir):
     assert proc.returncode == 1
     assert proc.stderr == "error: datasets entry 'a,b' holds a comma or a line break\n"
     assert not (workdir / "comma_bench").exists()
+
+
+def test_python_quickstart_prints_one_finite_mse(tmp_path):
+    # the python block under "Quickstart (Python)", with numpy's
+    # RuntimeWarnings as errors, as in the test configuration
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        code = re.search(r"## Quickstart \(Python\)\n+```python\n(.*?)```", fh.read(), re.S)[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC,
+                                   PYTHONWARNINGS="error::RuntimeWarning"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert math.isfinite(float(line))

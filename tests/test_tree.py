@@ -798,8 +798,10 @@ class TestNonFiniteInput:
 
 class TestOverflow:
     """Finite inputs whose scores or predictions overflow are refused with
-    the input row and the node, and without a numpy warning (which the
-    test configuration turns into an error)."""
+    the input row and the node, a split search whose gains overflow is
+    refused, and a threshold midpoint that would overflow stays finite,
+    each without a numpy warning (which the test configuration turns into
+    an error)."""
 
     @pytest.mark.parametrize("router", sorted(ROUTERS))
     def test_score_refused_by_every_router(self, router):
@@ -823,6 +825,33 @@ class TestOverflow:
         with pytest.raises(ValueError, match="^input row 0 overflows at leaf 2: "
                                              "its prediction is not finite$"):
             ROUTERS[router](model, np.zeros((3, 2)))
+
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    @pytest.mark.parametrize("method, depth", [("fc_odt", 1), ("ridge_odt", 1), ("cart", 1),
+                                               ("ridge_odt", 3), ("cart", 3)])
+    def test_split_search_gain_refused(self, method, depth, scale):
+        # finite targets whose squares overflow: the split search refuses the
+        # NaN gains rather than writing them into the model
+        sim = SIM_GENERATORS["sim2"](500, 0.01, 3)
+        data = Dataset(sim.features, sim.targets * scale)
+        with pytest.raises(ValueError, match="^split search overflowed: a gain is not finite$"):
+            tree.fit_method(method, data, 0.1, SplitCriteria(max_depth=depth))
+
+    def test_threshold_midpoint_does_not_overflow(self):
+        # (lo + hi) / 2 of 1.5e308 and 1.7e308 is inf: the root's threshold
+        # still falls between them, both children get rows, and the model
+        # text loads back
+        rng = np.random.default_rng(0)
+        x0 = np.where(rng.random(200) < 0.5, 1.5e308, 1.7e308)
+        y = (x0 > 1.6e308) + 0.01 * rng.random(200)
+        model = fit_cart(Dataset(np.column_stack([x0, rng.random(200)]), y),
+                         SplitCriteria(max_depth=2))
+        root = model.nodes[0]
+        assert (root.projection[0], 1.5e308 < root.threshold <= 1.7e308) == (1.0, True)
+        counts = [n.sample_count for n in model.nodes if isinstance(n, LeafNode)]
+        assert sum(counts) == 200 and min(counts) > 0
+        assert model_to_text(model_from_text(model_to_text(model))) == model_to_text(model)
 
 
 class TestWidthMismatch:
