@@ -217,7 +217,7 @@ def parse_libsvm(source, expected_dim: int | None = None,
     absent indices are zero-filled.
     """
     targets = []
-    rows = []
+    rows, cols, values = [], [], []  # each entry's place and value
     max_dim = expected_dim or 0
     for lineno, line in _numbered(_lines(source)):
         parts = line.split()
@@ -227,7 +227,6 @@ def parse_libsvm(source, expected_dim: int | None = None,
             raise ValueError(f"line {lineno}: malformed target {parts[0]!r}")
         if not np.isfinite(target):
             raise ValueError(f"line {lineno}: non-finite target")
-        entries = []
         prev = 0
         for tok in parts[1:]:
             try:
@@ -241,19 +240,17 @@ def parse_libsvm(source, expected_dim: int | None = None,
                     f"line {lineno}: feature indices must be strictly increasing (got {idx} after {prev})")
             if not np.isfinite(val):
                 raise ValueError(f"line {lineno}: non-finite value in token {tok!r}")
-            entries.append((idx, val))
+            rows.append(len(targets))
+            cols.append(idx - 1)
+            values.append(val)
             prev = idx
         if expected_dim is not None and prev > expected_dim:
             raise ValueError(
                 f"line {lineno}: feature index {prev} exceeds expected dimension {expected_dim}")
         max_dim = max(max_dim, prev)
         targets.append(target)
-        rows.append(entries)
-    n = len(targets)
-    X = np.zeros((n, max_dim))
-    for i, entries in enumerate(rows):
-        for idx, val in entries:
-            X[i, idx - 1] = val
+    X = np.zeros((len(targets), max_dim))
+    X[rows, cols] = values
     return Dataset(X, np.asarray(targets),
                    meta={"name": name, "source": "libsvm"})
 

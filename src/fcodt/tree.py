@@ -48,6 +48,7 @@ Models load only when their nodes form one tree.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -156,9 +157,9 @@ def _child_inputs(X, incoming, scores, concatenate: bool, residual_path: bool):
 
 
 def _sort_scores(s: np.ndarray):
-    """(order, sorted scores, rises) of the scores ``s`` in the stable
-    ascending order; ``rises`` marks where the sorted scores strictly
-    increase from one row to the next.
+    """(order, rises) of the scores ``s``: their stable ascending order,
+    and where the sorted scores strictly increase from one row to the
+    next.
 
     numpy's default sort runs first, and the stable sort again only when
     the sorted scores tie (equal scores, ``-0.0`` and ``0.0``, or NaN):
@@ -173,8 +174,7 @@ def _sort_scores(s: np.ndarray):
     rises = ss[1:] > ss[:-1]
     if not rises.all():
         order = np.argsort(s, kind="stable")
-        ss = s[order]
-    return order, ss, rises
+    return order, rises
 
 
 def _cut_table(scores: list, min_leaf):
@@ -665,7 +665,7 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     When the first feature has no ties it alone fixes that order
     (``_sort_scores``); otherwise a lexicographic sort over every column
     and the target does."""
-    order, _, rises = _sort_scores(X[:, 0])
+    order, rises = _sort_scores(X[:, 0])
     if rises.all():
         return order
     keys = (y,) + tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1))
@@ -677,6 +677,8 @@ def _check_fit(data: Dataset, lam: float):
         raise ValueError("dataset is empty")
     if data.dim < 1:
         raise ValueError("dataset has no features")
+    if not isinstance(lam, numbers.Real):  # a string, None or a list
+        raise ValueError(f"lambda must be a single real number, got {lam!r}")
     _check_lambdas(lam)
 
 
@@ -746,10 +748,12 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
     and threshold searches run in a few batches over all trees. A node's
     arithmetic depends on its own rows only, so every tree is exactly the
     one grown alone. Each entry is the model, or the ValueError its fit
-    raised. Only each tree's own reordered copy of its data is kept, so a
-    generator of jobs holds one copy per tree. A child gets its rows of
-    ``[X_t, scores]`` only when the next level searches it (``searched``);
-    a child that will be a leaf keeps only its targets.
+    raised. One frontier holds a record (tree, slot, X_t, y_t, lam,
+    n_total) per node of the current depth, tree by tree and by slot
+    within each tree. Only each tree's own reordered copy of its data is
+    kept, so a generator of jobs holds one copy per tree. A child gets its
+    rows of ``[X_t, scores]`` only when the next level searches it
+    (``searched``); a child that will be a leaf keeps only its targets.
     """
     residual_path = finder == "residual"
     criteria = criteria or SplitCriteria()
@@ -759,65 +763,62 @@ def _grow(jobs, criteria: SplitCriteria | None, concatenate: bool, finder: str) 
         return depth < criteria.max_depth and rows >= criteria.min_samples_split
 
     out = []
-    lams, sizes = [], []
-    # per tree, its nodes of the current depth in slot order; children
-    # take slots in that order, so the numbering is breadth-first
-    levels = []
+    frontier = []
     for data, lam in jobs:
-        lams.append(float(lam))
-        sizes.append(data.n)
         try:
             _check_fit(data, lam)
         except ValueError as exc:
             out.append(exc)
-            levels.append([])
             continue
+        lam = float(lam)
         order = _canonical_order(data.features, data.targets)
         out.append(ObliqueTreeModel(
-            input_dim=data.dim, lam=float(lam), criteria=criteria,
+            input_dim=data.dim, lam=lam, criteria=criteria,
             concatenate=concatenate, residual_path=residual_path, nodes=[None]))
-        levels.append([(0, data.features[order], data.targets[order])])
+        frontier.append((len(out) - 1, 0, data.features[order], data.targets[order],
+                         lam, data.n))
     depth = 0
-    while any(levels):
-        work = [(i, slot, X_t, y_t) for i, level in enumerate(levels)
-                for slot, X_t, y_t in level if searched(depth, y_t.shape[0])]
+    while frontier:
         splits = {}
+        work = [node for node in frontier if searched(depth, node[3].shape[0])]
         for batch in _row_batches(work):
-            for key, found in _split_batch(batch, lams, sizes, criteria, finder):
+            for key, found in _split_batch(batch, criteria, finder):
                 if isinstance(found, Exception):
                     out[key[0]] = found
-                    levels[key[0]] = []
                 else:
                     splits[key] = found
-        for i, level in enumerate(levels):
-            model = out[i]
-            next_level = []
-            for slot, X_t, y_t in level:
-                split = splits.get((i, slot))
-                if split is None:
-                    model.nodes[slot] = LeafNode(
-                        depth=depth, residual_mean=float(y_t.mean()),
-                        sample_count=y_t.shape[0])
-                    continue
-                projection, threshold, gain, scores = split
-                left_slot = len(model.nodes)
-                model.nodes.extend([None, None])
-                model.nodes[slot] = ObliqueNode(
-                    depth=depth,
-                    projection=projection,
-                    threshold=threshold,
-                    gain=gain,
-                    left=left_slot,
-                    right=left_slot + 1,
-                )
-                left = scores < threshold  # the router's rule
-                n_left = np.count_nonzero(left)
-                for slot_c, side, n in ((left_slot, left, n_left),
-                                        (left_slot + 1, ~left, left.shape[0] - n_left)):
-                    next_level.append((slot_c,) + _child_inputs(
-                        X_t.compress(side, axis=0) if searched(depth + 1, n) else None,
-                        y_t.compress(side), scores.compress(side), concatenate, residual_path))
-            levels[i] = next_level
+        # children take slots in frontier order, so the numbering is breadth-first
+        next_frontier = []
+        for tree, slot, X_t, y_t, lam, n_total in frontier:
+            model = out[tree]
+            if isinstance(model, Exception):
+                continue
+            split = splits.get((tree, slot))
+            if split is None:
+                model.nodes[slot] = LeafNode(
+                    depth=depth, residual_mean=float(y_t.mean()),
+                    sample_count=y_t.shape[0])
+                continue
+            projection, threshold, gain, scores = split
+            left_slot = len(model.nodes)
+            model.nodes.extend([None, None])
+            model.nodes[slot] = ObliqueNode(
+                depth=depth,
+                projection=projection,
+                threshold=threshold,
+                gain=gain,
+                left=left_slot,
+                right=left_slot + 1,
+            )
+            left = scores < threshold  # the router's rule
+            n_left = np.count_nonzero(left)
+            for slot_c, side, n in ((left_slot, left, n_left),
+                                    (left_slot + 1, ~left, left.shape[0] - n_left)):
+                next_frontier.append((tree, slot_c) + _child_inputs(
+                    X_t.compress(side, axis=0) if searched(depth + 1, n) else None,
+                    y_t.compress(side), scores.compress(side), concatenate, residual_path)
+                    + (lam, n_total))
+        frontier = next_frontier
         depth += 1
     return out
 
@@ -837,24 +838,23 @@ def _row_batches(work: list):
         yield work[start:]
 
 
-def _split_batch(batch: list, lams: list, sizes: list, criteria: SplitCriteria,
-                 finder: str) -> list:
+def _split_batch(batch: list, criteria: SplitCriteria, finder: str) -> list:
     """((tree, slot), ``_split_nodes`` entry or ValueError) for each node
-    of ``batch``; when the batch fails, each tree's nodes are retried alone
-    and a tree that still fails gets its ValueError; others are raised."""
-    keys = [(i, slot) for i, slot, _, _ in batch]
+    record (tree, slot, X_t, y_t, lam, n_total) of ``batch``, searched with
+    its own penalty and training-set size; when the batch fails, each
+    tree's nodes are retried alone and a tree that still fails gets its
+    ValueError; others are raised."""
+    trees, slots, Xs, ys, lams, n_totals = zip(*batch)
+    keys = list(zip(trees, slots))
     try:
-        return list(zip(keys, _split_nodes([(X_t, y_t) for _, _, X_t, y_t in batch],
-                                           np.array([lams[i] for i, _ in keys]),
-                                           np.array([sizes[i] for i, _ in keys]),
-                                           criteria, finder)))
+        return list(zip(keys, _split_nodes(list(zip(Xs, ys)), np.array(lams),
+                                           np.array(n_totals), criteria, finder)))
     except ValueError as exc:  # isolate the failing trees
-        trees = dict.fromkeys(i for i, _ in keys)
-        if len(trees) == 1:
+        if len(set(trees)) == 1:
             return [(key, exc) for key in keys]
-    return [entry for tree in trees
-            for entry in _split_batch([item for item in batch if item[0] == tree],
-                                      lams, sizes, criteria, finder)]
+    return [entry for tree in dict.fromkeys(trees)
+            for entry in _split_batch([node for node in batch if node[0] == tree],
+                                      criteria, finder)]
 
 
 class _RowError(ValueError):

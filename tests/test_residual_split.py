@@ -226,6 +226,31 @@ class TestGrowingTogether:
         assert isinstance(out[0], SingularSystemError)
         assert model_to_text(out[1]) == model_to_text(fit_fc_odt(ds, 0.1, crit))
 
+    @pytest.mark.parametrize("method", ["fc_odt", "ridge_odt"])
+    def test_failure_mid_growth_leaves_batch_mates_alone(self, monkeypatch, method):
+        # at lambda 0 the failing tree's children have singular fits; it is
+        # grown between two good trees of its width, so its failing level
+        # is searched in one batch with theirs before each tree alone
+        bad = wavy_dataset(8, 150, 2) if method == "fc_odt" else binary_column_dataset()
+        goods = [wavy_dataset(5, 100, bad.dim), wavy_dataset(6, 160, bad.dim)]
+        crit = SplitCriteria(max_depth=2)
+        alone = [model_to_text(fit_method_many(method, [(ds, 0.1)], crit)[0]) for ds in goods]
+        failed = []
+        split_nodes = tree._split_nodes
+
+        def recording(items, *args):
+            try:
+                return split_nodes(items, *args)
+            except ValueError:
+                failed.append(len(items))
+                raise
+
+        monkeypatch.setattr(tree, "_split_nodes", recording)
+        out = fit_method_many(method, [(goods[0], 0.1), (bad, 0.0), (goods[1], 0.1)], crit)
+        assert failed[0] > failed[-1]  # a shared batch failed, then the tree alone
+        assert isinstance(out[1], SingularSystemError)
+        assert [model_to_text(model) for model in out[::2]] == alone
+
 
 def binary_column_dataset():
     """A 0/1 column between two normal ones: at lambda 0 a child of a cut

@@ -436,6 +436,16 @@ class TestFitPredict:
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam}"):
             fit_fc_odt(make_dataset(n=60, d=3, seed=8), lam, loose_criteria())
 
+    @pytest.mark.parametrize("lam", ["abc", None, [0.1, 0.2]], ids=["text", "none", "list"])
+    def test_lambda_not_a_number_is_its_entry(self, lam):
+        # the job's own ValueError; the good tree grown beside it is kept
+        ds = make_dataset(n=120, d=3, seed=8, sigma=0.3)
+        crit = SplitCriteria(max_depth=2)
+        out = tree.fit_method_many("ridge_odt", [(ds, 0.1), (ds, lam)], crit)
+        assert model_to_text(out[0]) == model_to_text(fit_ridge_odt(ds, 0.1, crit))
+        assert isinstance(out[1], ValueError)
+        assert str(out[1]) == f"lambda must be a single real number, got {lam!r}"
+
 
 class TestMethods:
     def test_unknown_method_rejected(self):
